@@ -224,18 +224,15 @@ def _attention_instance(kind, n, d, seed, dtype=np.float64):
     x = rng.standard_normal((n, d)).astype(dtype)
     if kind == ATTENTION_SELF:
         wq, wk, wv = draw((d, d)), draw((d, d)), draw((d, d))
-        return lambda threads=1: attention.flat_self_attention(
-            x, wq, wk, wv, threads=threads)
+        return lambda: attention.flat_self_attention(x, wq, wk, wv)
     params = attention.AdditiveParams(
         q=draw((1, d)) if kind == ATTENTION_MEAA else None,
         wq=draw((d, d)), wk=draw((d, d)), w_a=draw((d,)), w1=draw((d, d)),
         b1=draw((d,)), w2=draw((d, d)), b2=draw((d,)))
     if kind == ATTENTION_MEAA:
         q_normed = draw((1, d))
-        return lambda threads=1: attention.meaa(q_normed, x, params,
-                                                threads=threads)
-    return lambda threads=1: attention.eaa_original(x, params,
-                                                    threads=threads)
+        return lambda: attention.meaa(q_normed, x, params)
+    return lambda: attention.eaa_original(x, params)
 
 
 def measured_attention_elements(kind, n, d, seed=0):
@@ -275,8 +272,7 @@ class BenchResult:
     checksum: str
 
 
-def bench_attention(kind, sizes, d=64, reps=7, threads=1, seed=0,
-                    warmup=2):
+def bench_attention(kind, sizes, d=64, reps=7, seed=0, warmup=2):
     """Time one mechanism across token counts.
 
     At least five repetitions are required so the median is meaningful.
@@ -295,11 +291,11 @@ def bench_attention(kind, sizes, d=64, reps=7, threads=1, seed=0,
         run = _attention_instance(kind, n, d, seed)
         out = None
         for _ in range(warmup):
-            out = run(threads=threads)
+            out = run()
         times = []
         for _ in range(reps):
             start = time.perf_counter_ns()
-            out = run(threads=threads)
+            out = run()
             times.append(time.perf_counter_ns() - start)
         median = statistics.median(times)
         mad = statistics.median([abs(t - median) for t in times])

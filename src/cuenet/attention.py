@@ -96,31 +96,18 @@ def attention_scalar(q_star, w_a):
     return float(scaled[0, 0])
 
 
-def _scalar_additive(q_normed, tokens, p, threads, pool):
-    x = _check_tokens(tokens, "additive attention tokens")
-    check_tensor(q_normed, rank=2, name="normalized query")
-    n, d = x.shape
-    if q_normed.shape != (1, d):
-        raise ShapeError(f"query shape {q_normed.shape} vs tokens "
-                         f"{x.shape}; expected (1, {d})")
-    q_star = matmul(q_normed, p.wq, threads=threads)
-    meter_alloc("q_star", d)
-    k = matmul(x, p.wk, threads=threads)
-    meter_alloc("k", n * d)
-    alpha = attention_scalar(q_star, p.w_a)
-    meter_alloc("alpha", 1)
-    q_gated = scale(q_star, alpha)
-    meter_alloc("q_gated", d)
-    meter_free("alpha")
-    fused = mul(k, q_gated)
-    meter_alloc("fused", n * d)
-    meter_free("k")
-    meter_free("q_gated")
-    hidden = matmul(fused, p.w1, threads=threads) + p.b1 + q_star
+def _project_rows(fused, residual, residual_name, p, pool):
+    """Shared tail of the additive kernels: two projections, optional mean.
+
+    ``residual`` (live in the memory meter as ``residual_name``) is added
+    after the first projection and released with ``fused``.
+    """
+    n, d = fused.shape
+    hidden = matmul(fused, p.w1) + p.b1 + residual
     meter_alloc("hidden", n * d)
     meter_free("fused")
-    meter_free("q_star")
-    rows = matmul(hidden, p.w2, threads=threads) + p.b2
+    meter_free(residual_name)
+    rows = matmul(hidden, p.w2) + p.b2
     meter_alloc("rows", n * d)
     meter_free("hidden")
     if not pool:
@@ -131,19 +118,42 @@ def _scalar_additive(q_normed, tokens, p, threads, pool):
     return out
 
 
-def meaa(q_normed, tokens, p, threads=1):
+def _scalar_additive(q_normed, tokens, p, pool):
+    x = _check_tokens(tokens, "additive attention tokens")
+    check_tensor(q_normed, rank=2, name="normalized query")
+    n, d = x.shape
+    if q_normed.shape != (1, d):
+        raise ShapeError(f"query shape {q_normed.shape} vs tokens "
+                         f"{x.shape}; expected (1, {d})")
+    q_star = matmul(q_normed, p.wq)
+    meter_alloc("q_star", d)
+    k = matmul(x, p.wk)
+    meter_alloc("k", n * d)
+    alpha = attention_scalar(q_star, p.w_a)
+    meter_alloc("alpha", 1)
+    q_gated = scale(q_star, alpha)
+    meter_alloc("q_gated", d)
+    meter_free("alpha")
+    fused = mul(k, q_gated)
+    meter_alloc("fused", n * d)
+    meter_free("k")
+    meter_free("q_gated")
+    return _project_rows(fused, q_star, "q_star", p, pool)
+
+
+def meaa(q_normed, tokens, p):
     """Modified additive attention, pooled to a single (1, d) vector.
 
     The query is gated by the scalar score, broadcast against the projected
     keys, passed through the two projections with a query residual, and the
     transformed rows are mean-pooled.
     """
-    return _scalar_additive(q_normed, tokens, p, threads, pool=True)
+    return _scalar_additive(q_normed, tokens, p, pool=True)
 
 
-def meaa_rows(q_normed, tokens, p, threads=1):
+def meaa_rows(q_normed, tokens, p):
     """Modified additive attention without the final mean: (n, d) rows."""
-    return _scalar_additive(q_normed, tokens, p, threads, pool=False)
+    return _scalar_additive(q_normed, tokens, p, pool=False)
 
 
 @dataclass
@@ -209,12 +219,12 @@ def meaa_grad(q_normed, tokens, p, upstream):
 # original additive attention (matrix query)
 # ---------------------------------------------------------------------------
 
-def _matrix_additive(tokens, p, threads, pool):
+def _matrix_additive(tokens, p, pool):
     x = _check_tokens(tokens, "additive attention tokens")
     n, d = x.shape
-    q = matmul(x, p.wq, threads=threads)
+    q = matmul(x, p.wq)
     meter_alloc("q", n * d)
-    k = matmul(x, p.wk, threads=threads)
+    k = matmul(x, p.wk)
     meter_alloc("k", n * d)
     raw = matmul(q, p.w_a.reshape(d, 1))
     scaled = scale(raw, 1.0 / math.sqrt(d))
@@ -222,73 +232,61 @@ def _matrix_additive(tokens, p, threads, pool):
     weights = softmax_rows(scaled.reshape(1, n))
     meter_alloc("weights", n)
     meter_free("scores")
-    q_global = matmul(weights, q, threads=threads)
+    q_global = matmul(weights, q)
     fused = mul(k, q_global)
     meter_alloc("q_global", d)
     meter_alloc("fused", n * d)
     meter_free("weights")
     meter_free("k")
     meter_free("q_global")
-    hidden = matmul(fused, p.w1, threads=threads) + p.b1 + q
-    meter_alloc("hidden", n * d)
-    meter_free("fused")
-    meter_free("q")
-    rows = matmul(hidden, p.w2, threads=threads) + p.b2
-    meter_alloc("rows", n * d)
-    meter_free("hidden")
-    if not pool:
-        return rows
-    out = mean_rows(rows)
-    meter_alloc("out", d)
-    meter_free("rows")
-    return out
+    return _project_rows(fused, q, "q", p, pool)
 
 
-def eaa_original(tokens, p, threads=1):
+def eaa_original(tokens, p):
     """Original additive attention, pooled to a single (1, d) vector.
 
     Every token projects to a query row; softmax-normalized per-row scores
     weight the rows into one global query, which gates the keys.  The two
     projections carry a per-row query residual before the mean pool.
     """
-    return _matrix_additive(tokens, p, threads, pool=True)
+    return _matrix_additive(tokens, p, pool=True)
 
 
-def eaa_rows(tokens, p, threads=1):
+def eaa_rows(tokens, p):
     """Original additive attention without the final mean: (n, d) rows."""
-    return _matrix_additive(tokens, p, threads, pool=False)
+    return _matrix_additive(tokens, p, pool=False)
 
 
 # ---------------------------------------------------------------------------
 # softmax self-attention
 # ---------------------------------------------------------------------------
 
-def mhsa(tokens, p, heads, threads=1):
+def mhsa(tokens, p, heads):
     """Multi-head softmax self-attention over (n, d) tokens, fused output."""
     x = _check_tokens(tokens, "self-attention tokens")
     n, d = x.shape
     if heads < 1 or d % heads != 0:
         raise ShapeError(f"head count {heads} must divide width {d}")
     dh = d // heads
-    q = matmul(x, p.wq, threads=threads)
-    k = matmul(x, p.wk, threads=threads)
-    v = matmul(x, p.wv, threads=threads)
+    q = matmul(x, p.wq)
+    k = matmul(x, p.wk)
+    v = matmul(x, p.wv)
     q = scale(q, 1.0 / math.sqrt(dh))
     ctx = np.empty_like(x)
     for h in range(heads):
         lo, hi = h * dh, (h + 1) * dh
-        scores = matmul(q[:, lo:hi], k[:, lo:hi].T, threads=threads)
+        scores = matmul(q[:, lo:hi], k[:, lo:hi].T)
         weights = softmax_rows(scores)
-        ctx[:, lo:hi] = matmul(weights, v[:, lo:hi], threads=threads)
-    return matmul(ctx, p.fuse, threads=threads)
+        ctx[:, lo:hi] = matmul(weights, v[:, lo:hi])
+    return matmul(ctx, p.fuse)
 
 
-def pooled_mhsa(tokens, p, heads, threads=1):
+def pooled_mhsa(tokens, p, heads):
     """Self-attention followed by a mean pool to (1, d)."""
-    return mean_rows(mhsa(tokens, p, heads, threads=threads))
+    return mean_rows(mhsa(tokens, p, heads))
 
 
-def flat_self_attention(tokens, wq, wk, wv, threads=1):
+def flat_self_attention(tokens, wq, wk, wv):
     """Single-head softmax attention kernel used for measurement.
 
     No output fuse; this is the minimal quadratic-cost baseline whose
@@ -296,21 +294,21 @@ def flat_self_attention(tokens, wq, wk, wv, threads=1):
     """
     x = _check_tokens(tokens, "self-attention tokens")
     n, d = x.shape
-    q = matmul(x, wq, threads=threads)
+    q = matmul(x, wq)
     meter_alloc("q", n * d)
-    k = matmul(x, wk, threads=threads)
+    k = matmul(x, wk)
     meter_alloc("k", n * d)
-    v = matmul(x, wv, threads=threads)
+    v = matmul(x, wv)
     meter_alloc("v", n * d)
     q = scale(q, 1.0 / math.sqrt(d))
-    scores = matmul(q, k.T, threads=threads)
+    scores = matmul(q, k.T)
     meter_alloc("scores", n * n)
     meter_free("q")
     meter_free("k")
     weights = softmax_rows(scores)
     meter_alloc("weights", n * n)
     meter_free("scores")
-    out = matmul(weights, v, threads=threads)
+    out = matmul(weights, v)
     meter_alloc("ctx", n * d)
     meter_free("weights")
     meter_free("v")

@@ -151,15 +151,15 @@ def lt_mhra(field, p):
     return field.with_data(fused)
 
 
-def gs_mhra(field, p, heads, threads=1):
+def gs_mhra(field, p, heads):
     """Per-frame softmax self-attention over an already-normalized field."""
     out = np.empty_like(field.data)
     for t in range(field.frames):
-        out[t] = attention.mhsa(field.data[t], p, heads, threads=threads)
+        out[t] = attention.mhsa(field.data[t], p, heads)
     return field.with_data(out)
 
 
-def additive_mixer(field, p, q_ln, kind, threads=1):
+def additive_mixer(field, p, q_ln, kind):
     """Per-frame additive attention in row-preserving form.
 
     For the modified kind the block-owned query is normalized once and
@@ -170,26 +170,25 @@ def additive_mixer(field, p, q_ln, kind, threads=1):
     if kind == ATTENTION_MEAA:
         q_normed = layer_norm(p.q, q_ln.gamma, q_ln.beta)
         for t in range(field.frames):
-            out[t] = attention.meaa_rows(q_normed, field.data[t], p,
-                                         threads=threads)
+            out[t] = attention.meaa_rows(q_normed, field.data[t], p)
     elif kind == ATTENTION_EAA:
         for t in range(field.frames):
-            out[t] = attention.eaa_rows(field.data[t], p, threads=threads)
+            out[t] = attention.eaa_rows(field.data[t], p)
     else:
         raise ConfigError(f"additive mixer cannot run kind {kind!r}")
     return field.with_data(out)
 
 
-def ffn(field, p, threads=1):
+def ffn(field, p):
     """Position-wise feed-forward over an already-normalized field."""
     d = field.hidden
     flat = field.flat()
-    hidden = gelu(matmul(flat, p.w1, threads=threads) + p.b1)
-    out = matmul(hidden, p.w2, threads=threads) + p.b2
+    hidden = gelu(matmul(flat, p.w1) + p.b1)
+    out = matmul(hidden, p.w2) + p.b2
     return field.with_data(out.reshape(field.data.shape))
 
 
-def local_uniblock_forward(field, p, heads, threads=1, stage_prefix=None):
+def local_uniblock_forward(field, p, heads, stage_prefix=None):
     """Run one local block: three pre-normalized residual sub-units."""
 
     def unit_stage(name):
@@ -203,12 +202,11 @@ def local_uniblock_forward(field, p, heads, threads=1, stage_prefix=None):
     with unit_stage("attn"):
         normed = _normed(field, p.ln2)
         if p.attn_kind == ATTENTION_SELF:
-            mixed = gs_mhra(normed, p.gs, heads, threads=threads)
+            mixed = gs_mhra(normed, p.gs, heads)
         else:
-            mixed = additive_mixer(normed, p.add, p.add_q_ln, p.attn_kind,
-                                   threads=threads)
+            mixed = additive_mixer(normed, p.add, p.add_q_ln, p.attn_kind)
         field = field.with_data(field.data + mixed.data)
     with unit_stage("ffn"):
-        lifted = ffn(_normed(field, p.ln3), p.ffn, threads=threads)
+        lifted = ffn(_normed(field, p.ln3), p.ffn)
         field = field.with_data(field.data + lifted.data)
     return field

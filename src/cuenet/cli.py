@@ -2,14 +2,14 @@
 
 Subcommands: ``crop``, ``infer``, ``init-weights``, ``flops``, ``bench``,
 ``gradcheck``, ``selftest``.  Exit codes: 0 success, 2 malformed input
-(missing files, bad streams, bad flags), 3 invalid configuration, shape, or
-parameter, 4 failed runtime verification.
+(missing or unreadable files, undecodable text, bad streams, bad flags),
+3 invalid configuration, shape, or parameter, 4 failed runtime verification
+(including non-finite inference logits).
 
 Thread-pool environment variables for the numeric backend are pinned to one
 worker before the backend loads (existing values are respected), so results
-do not depend on machine core count.  The ``--threads`` flag drives the
-package's own op-level parallel path; inference always runs the sequential
-engine so its output is byte-identical regardless.
+do not depend on machine core count.  Every kernel runs sequentially;
+``infer --threads N`` is validated (N >= 1) and otherwise ignored.
 """
 
 import argparse
@@ -30,21 +30,6 @@ def _pin_backend_threads():
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         os.environ.setdefault(var, "1")
-
-
-def _resolve_threads(args):
-    if getattr(args, "threads", None) is not None:
-        threads = args.threads
-    else:
-        raw = os.environ.get("CUENET_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ConfigError(f"CUENET_THREADS must be an integer, got "
-                              f"{raw!r}") from None
-    if threads < 1:
-        raise ConfigError(f"thread count must be at least 1, got {threads}")
-    return threads
 
 
 def _write_atomic(path, data):
@@ -72,7 +57,11 @@ def _emit(args, text):
 
 def _read_text(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _load_config(args):
@@ -136,7 +125,9 @@ def cmd_infer(args):
     from . import crop, ctf, fusion, model
     from .tensor import dtype_of
     from .weights import load_weights
-    _resolve_threads(args)  # validated; inference itself stays sequential
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError(f"thread count must be at least 1, got "
+                          f"{args.threads}")
     cfg = _load_config(args)
     video = ctf.read_tensor(args.video)
     if video.ndim != 4:
@@ -154,15 +145,16 @@ def cmd_infer(args):
     container = load_weights(args.weights, precision=cfg.precision,
                              allow_widen=args.precision is not None)
     decision = crop.compute_crop_box(sequence)
-    logits = model.forward(video, sequence, container, cfg)
+    cropped = crop.apply_crop(video, decision)
+    logits = model.forward(cropped, None, container, cfg)
+    if not np.all(np.isfinite(logits)):
+        raise VerificationError("inference produced non-finite logits")
     probs = fusion.probabilities(logits)
     result = {
         "logits": [float(v) for v in logits],
         "probabilities": [float(v) for v in probs],
         "class": fusion.predicted_label(logits),
-        "crop": _crop_summary(decision, video.shape,
-                              video.shape if not decision.applied
-                              else crop.apply_crop(video, decision).shape),
+        "crop": _crop_summary(decision, video.shape, cropped.shape),
     }
     _emit(args, json.dumps(result, indent=2) + "\n")
     return 0
@@ -208,7 +200,6 @@ def cmd_flops(args):
 
 def cmd_bench(args):
     from . import analysis
-    threads = _resolve_threads(args)
     if args.attention:
         kinds = [_CLI_ATTENTION[token.strip()]
                  for token in args.attention.split(",") if token.strip()]
@@ -224,8 +215,7 @@ def cmd_bench(args):
         else:
             sizes = [1024 * 2 ** i for i in range(6)]
         results += analysis.bench_attention(kind, sizes, d=args.d,
-                                            reps=args.reps, threads=threads,
-                                            seed=args.seed)
+                                            reps=args.reps, seed=args.seed)
     _emit(args, analysis.format_bench_csv(results))
     return 0
 
@@ -348,8 +338,8 @@ def build_parser():
     p.add_argument("--weights", required=True, help="weight container file")
     add_config_flags(p)
     p.add_argument("--threads", type=int,
-                   help="op-level worker threads (default: $CUENET_THREADS "
-                        "or 1); inference output is identical regardless")
+                   help="accepted for compatibility and validated (>= 1); "
+                        "inference always runs sequentially")
     p.add_argument("--out", help="write the result JSON here instead of "
                                  "stdout")
     p.set_defaults(handler=cmd_infer, preset="desk", seed=None)
@@ -382,9 +372,6 @@ def build_parser():
     p.add_argument("--d", type=int, default=64, help="token width")
     p.add_argument("--reps", type=int, default=7,
                    help="timed repetitions per size (minimum 5)")
-    p.add_argument("--threads", type=int,
-                   help="op-level worker threads (default: $CUENET_THREADS "
-                        "or 1)")
     p.add_argument("--seed", type=int, default=0, help="input draw seed")
     p.add_argument("--out", help="write the CSV here instead of stdout")
     p.set_defaults(handler=cmd_bench)
@@ -419,7 +406,7 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename or exc}", file=sys.stderr)
         return 2
-    except FormatError as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConfigError, ShapeError, ParamError, BoundsError) as exc:

@@ -17,7 +17,6 @@ the crop never loses detected content to rounding.
 import json
 import math
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
@@ -55,10 +54,6 @@ class BBox:
         """Whether ``other`` lies entirely inside this box."""
         return (self.x_min <= other.x_min and self.y_min <= other.y_min
                 and self.x_max >= other.x_max and self.y_max >= other.y_max)
-
-    def translated(self, dx, dy):
-        return BBox(self.x_min + dx, self.y_min + dy,
-                    self.x_max + dx, self.y_max + dy)
 
 
 def clamp_box(x_min, y_min, x_max, y_max, height, width):
@@ -107,13 +102,6 @@ class CropDecision:
     max_people: int
 
 
-class DetectorAdapter(Protocol):
-    """Anything that can produce boxes for a single frame."""
-
-    def detect(self, frame, index) -> list:
-        ...
-
-
 class ReplayDetector:
     """Adapter that replays a previously recorded detection sequence."""
 
@@ -125,7 +113,10 @@ class ReplayDetector:
 
 
 def run_detector(video, adapter):
-    """Run an adapter over every frame of a (T,H,W,C) clip."""
+    """Run an adapter over every frame of a (T,H,W,C) clip.
+
+    ``adapter.detect(frame, index)`` returns that frame's boxes.
+    """
     check_tensor(video, rank=4, name="video")
     t, height, width, _ = video.shape
     frames = []

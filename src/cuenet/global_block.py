@@ -65,15 +65,14 @@ def dpe(field, kernel):
     return field.with_data(out)
 
 
-def row_ffn(x, p, ln, threads=1):
+def row_ffn(x, p, ln):
     """Pre-normalized residual feed-forward on a (rows, d) matrix."""
     normed = layer_norm(x, ln.gamma, ln.beta)
-    hidden = gelu(matmul(normed, p.w1, threads=threads) + p.b1)
-    return x + matmul(hidden, p.w2, threads=threads) + p.b2
+    hidden = gelu(matmul(normed, p.w1) + p.b1)
+    return x + matmul(hidden, p.w2) + p.b2
 
 
-def global_uniblock_forward(field, p, heads, threads=1, stage_prefix=None,
-                            trace=None):
+def global_uniblock_forward(field, p, heads, stage_prefix=None, trace=None):
     """Reduce a token field to one (1, d) clip vector."""
 
     def unit_stage(name):
@@ -92,18 +91,17 @@ def global_uniblock_forward(field, p, heads, threads=1, stage_prefix=None,
             trace["global.tokens"] = tokens.shape
         if p.attn_kind == ATTENTION_MEAA:
             q_normed = layer_norm(p.add.q, p.ln_q.gamma, p.ln_q.beta)
-            pooled = attention.meaa(q_normed, tokens, p.add, threads=threads)
+            pooled = attention.meaa(q_normed, tokens, p.add)
         elif p.attn_kind == ATTENTION_EAA:
-            pooled = attention.eaa_original(tokens, p.add, threads=threads)
+            pooled = attention.eaa_original(tokens, p.add)
         elif p.attn_kind == ATTENTION_SELF:
-            pooled = attention.pooled_mhsa(tokens, p.gs, heads,
-                                           threads=threads)
+            pooled = attention.pooled_mhsa(tokens, p.gs, heads)
         else:  # unreachable; kinds validated at construction
             raise ConfigError(f"unknown attention kind {p.attn_kind!r}")
     if trace is not None:
         trace["global.pooled"] = pooled.shape
     with unit_stage("ffn"):
-        refined = row_ffn(pooled, p.ffn, p.ln_ffn, threads=threads)
+        refined = row_ffn(pooled, p.ffn, p.ln_ffn)
     if trace is not None:
         trace["global.out"] = refined.shape
     return refined

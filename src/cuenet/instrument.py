@@ -49,9 +49,6 @@ class MacCounter:
     def total(self):
         return sum(self.stages.values())
 
-    def stage_total(self, name):
-        return self.stages.get(name, 0)
-
 
 @contextmanager
 def counting(counter):
@@ -114,10 +111,6 @@ class MemoryMeter:
         if name not in self._sizes:
             raise ValueError(f"buffer {name!r} is not live")
         self.live -= self._sizes.pop(name)
-
-    @property
-    def live_buffers(self):
-        return dict(self._sizes)
 
 
 @contextmanager

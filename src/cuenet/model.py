@@ -152,7 +152,7 @@ def backbone_forward(video, params, cfg):
     return TokenField(data=data, grid=(cfg.grid_h, cfg.grid_w))
 
 
-def network_forward(video, params, cfg, trace=None, threads=1):
+def network_forward(video, params, cfg, trace=None):
     """Backbone through logits, without preprocessing."""
     with stage("backbone"):
         field = backbone_forward(video, params, cfg)
@@ -160,13 +160,11 @@ def network_forward(video, params, cfg, trace=None, threads=1):
         trace["backbone"] = field.data.shape
     for i, block in enumerate(params.local_blocks):
         field = local_uniblock_forward(field, block, cfg.heads,
-                                       threads=threads,
                                        stage_prefix=f"local{i}")
         if trace is not None:
             trace[f"local{i}"] = field.data.shape
     clip_vec = global_uniblock_forward(field, params.global_block, cfg.heads,
-                                       threads=threads, stage_prefix="global",
-                                       trace=trace)
+                                       stage_prefix="global", trace=trace)
     with stage("fusion"):
         local_summary = fusion_ops.extract_class_token(field)
         fused = fusion_ops.fuse(clip_vec, local_summary, params.fusion.beta)
@@ -178,7 +176,7 @@ def network_forward(video, params, cfg, trace=None, threads=1):
     return logits
 
 
-def forward(video, detections, container, cfg, trace=None, threads=1):
+def forward(video, detections, container, cfg, trace=None):
     """Full inference: crop, resize, tokenize, mix, fuse, classify.
 
     ``detections`` may be None to skip the crop policy entirely.  The clip's
@@ -206,7 +204,7 @@ def forward(video, detections, container, cfg, trace=None, threads=1):
     video = resize_bilinear(video, cfg.height, cfg.width)
     if trace is not None:
         trace["resized"] = video.shape
-    return network_forward(video, params, cfg, trace=trace, threads=threads)
+    return network_forward(video, params, cfg, trace=trace)
 
 
 def expected_trace(cfg):

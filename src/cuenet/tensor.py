@@ -18,8 +18,6 @@ by the backend, so repeated runs on the same machine are bit-identical even
 though the order is not literal left-to-right.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf, expit
@@ -101,14 +99,8 @@ def unflat_index(shape, flat):
 # counted operations
 # ---------------------------------------------------------------------------
 
-def matmul(a, b, threads=1):
-    """Matrix product of 2-d operands; reports ``m*k*n`` multiply-adds.
-
-    With ``threads > 1`` the output rows are split into contiguous spans
-    computed concurrently.  Each row's reduction is unchanged, so the result
-    matches the sequential product to within accumulation-order noise of the
-    shared backend (and is typically bit-identical).
-    """
+def matmul(a, b):
+    """Matrix product of 2-d operands; reports ``m*k*n`` multiply-adds."""
     check_tensor(a, rank=2, name="matmul left operand")
     check_tensor(b, rank=2, name="matmul right operand")
     _check_same_precision(a, b, "matmul")
@@ -117,16 +109,6 @@ def matmul(a, b, threads=1):
     if k != k2:
         raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
     add_macs(m * k * n)
-    if threads > 1 and m >= 2 * threads:
-        out = np.empty((m, n), dtype=a.dtype)
-        bounds = [(m * i) // threads for i in range(threads + 1)]
-        def run(lo, hi):
-            np.matmul(a[lo:hi], b, out=out[lo:hi])
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for future in [pool.submit(run, lo, hi)
-                           for lo, hi in zip(bounds, bounds[1:]) if hi > lo]:
-                future.result()
-        return out
     return a @ b
 
 

@@ -245,7 +245,11 @@ def load_weights(path, precision=None, allow_widen=False):
         pos += 2
         if len(data) - pos < name_len + 1:
             raise FormatError("weight manifest truncated")
-        name = data[pos:pos + name_len].decode("utf-8")
+        try:
+            name = data[pos:pos + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"weight name at byte {pos} is not valid "
+                              f"UTF-8") from None
         pos += name_len
         rank = data[pos]
         pos += 1

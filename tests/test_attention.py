@@ -103,16 +103,6 @@ class TestMeaa:
         with pytest.raises(ShapeError):
             attention.meaa(np.zeros((1, 4)), np.zeros((2, 3)), params)
 
-    def test_threads_match_sequential(self):
-        rng = np.random.default_rng(105)
-        d, n = 16, 24
-        params = random_additive_params(rng, d, with_q=True)
-        q_normed = rng.standard_normal((1, d))
-        x = rng.standard_normal((n, d))
-        seq = attention.meaa(q_normed, x, params)
-        par = attention.meaa(q_normed, x, params, threads=3)
-        assert_close(par, seq, rel=1e-10)
-
     def test_work_count_closed_form(self):
         rng = np.random.default_rng(106)
         for n, d in ((1, 3), (5, 8), (20, 64)):

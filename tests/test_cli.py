@@ -197,6 +197,47 @@ class TestInfer:
         proc = self.infer(workdir, "--threads", "0")
         assert proc.returncode == 3
 
+    def test_undecodable_detections_exit_2(self, workdir, tmp_path):
+        bad = tmp_path / "latin1.jsonl"
+        bad.write_bytes(b'{"frame": 0, "boxes": []}\xff\n')
+        proc = run_cli("infer", "--video", str(workdir / "clip.ctf"),
+                       "--detections", str(bad),
+                       "--weights", str(workdir / "desk.cwc"))
+        assert proc.returncode == 2
+        assert "UTF-8" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_undecodable_weight_name_exits_2(self, workdir, tmp_path):
+        data = bytearray((workdir / "desk.cwc").read_bytes())
+        data[11] = 0xff  # first byte of the first entry name
+        bad = tmp_path / "badname.cwc"
+        bad.write_bytes(bytes(data))
+        proc = run_cli("infer", "--video", str(workdir / "clip.ctf"),
+                       "--detections", str(workdir / "det.jsonl"),
+                       "--weights", str(bad))
+        assert proc.returncode == 2
+        assert "UTF-8" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_directory_as_video_exits_2(self, workdir):
+        proc = run_cli("infer", "--video", str(workdir),
+                       "--detections", str(workdir / "det.jsonl"),
+                       "--weights", str(workdir / "desk.cwc"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+    def test_nan_inside_crop_exits_4(self, workdir, tmp_path):
+        video = ctf.read_tensor(workdir / "clip.ctf").copy()
+        video[0, 20:24, 20:24, :] = np.nan  # inside the [8, 6, 56, 60] union
+        clip = tmp_path / "nan.ctf"
+        ctf.write_tensor(clip, video)
+        proc = run_cli("infer", "--video", str(clip),
+                       "--detections", str(workdir / "det.jsonl"),
+                       "--weights", str(workdir / "desk.cwc"))
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert "non-finite" in proc.stderr
+
 
 class TestInitWeights:
     def test_creates_loadable_container(self, workdir, tmp_path):

@@ -223,6 +223,14 @@ class TestWeightContainer:
         with pytest.raises(FormatError, match="truncated"):
             weights.load_weights(path)
 
+    def test_undecodable_name_rejected(self, tmp_path):
+        data = bytearray(build_container_bytes([("w", np.ones(2))]))
+        data[11] = 0xff  # the one-byte entry name
+        path = tmp_path / "w.cwc"
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="UTF-8"):
+            weights.load_weights(path)
+
 
 class TestWeightNaming:
     def test_desk_entry_count_and_parameters(self):
