@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import attention
-from .blocks import ATTENTION_EAA, ATTENTION_KINDS, ATTENTION_MEAA, \
-    ATTENTION_SELF
+from .attention import (ATTENTION_EAA, ATTENTION_KINDS, ATTENTION_MEAA,
+                        ATTENTION_SELF)
 from .config import DPE_KERNEL, PATCH, TEMPORAL_KERNEL, serialize_config
 from .errors import ParamError, VerificationError
 from .fusion import fuse, classify, fuse_grad, classify_grad, FusionParams

@@ -1,6 +1,6 @@
 """Token-mixing attention mechanisms over flat (n, d) token matrices.
 
-Three interchangeable mechanisms:
+Three interchangeable mechanisms, named by the ``ATTENTION_*`` kinds:
 
 * :func:`mhsa` -- conventional multi-head self-attention with softmax over
   pairwise scores.  Cost and intermediate storage grow with n**2.
@@ -12,16 +12,16 @@ Three interchangeable mechanisms:
   and the softmax disappears entirely.  Also linear in n, with one fewer
   n-by-d projection and no n-vector of scores.
 
-``meaa`` and ``eaa_original`` exist in two shapes: the pooled form returns
-one fused 1-by-d vector (column mean of the transformed rows), and a
-``*_rows`` form skips the mean so the mechanism can stand in for a
+:func:`attend` is the one place a kernel is chosen by kind.  With ``pool``
+it returns one (1, d) vector (column mean of the transformed rows);
+without, the (n, d) rows, so any mechanism can stand in for a
 shape-preserving token mixer inside a block stack.
 
-The pooled forms and :func:`flat_self_attention` announce intermediate
+The additive kernels and :func:`flat_self_attention` announce intermediate
 buffer lifetimes to the active memory meter (see :mod:`cuenet.instrument`)
 under a fixed step schedule: a step's inputs stay live until its outputs
 exist, and a softmax materializes its weights in a fresh buffer.  The
-resulting high-water marks, in elements:
+resulting high-water marks of the pooled forms, in elements:
 
 * meaa:            2*n*d + 2*d
 * eaa_original:    3*n*d + n + d
@@ -33,13 +33,26 @@ Gradients for the modified form are provided analytically in
 
 import math
 from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .instrument import meter_alloc, meter_free
-from .tensor import (check_tensor, matmul, mean_rows, mul, scale,
-                     softmax_rows)
+from .tensor import (LnParams, check_tensor, layer_norm, matmul, mean_rows,
+                     mul, scale, softmax_rows)
+
+ATTENTION_SELF = "self_attention"
+ATTENTION_MEAA = "meaa"
+ATTENTION_EAA = "eaa_original"
+ATTENTION_KINDS = (ATTENTION_SELF, ATTENTION_MEAA, ATTENTION_EAA)
+
+
+def check_kind(kind):
+    """Reject a name that is not one of :data:`ATTENTION_KINDS`."""
+    if kind not in ATTENTION_KINDS:
+        raise ConfigError(f"unknown attention kind {kind!r}; expected one of "
+                          f"{ATTENTION_KINDS}")
 
 
 @dataclass
@@ -56,9 +69,10 @@ class MhsaParams:
 class AdditiveParams:
     """Parameters for the additive mechanisms.
 
-    ``q`` is the learnable query vector of the modified form and is unused
-    (may be None) for the original matrix-query form.  ``w_a`` holds the
-    score weights; ``w1, b1, w2, b2`` the two output projections.
+    ``q`` is the learnable query vector of the modified form and ``q_ln``
+    the normalization :func:`attend` applies to it; both are unused (may be
+    None) for the original matrix-query form.  ``w_a`` holds the score
+    weights; ``w1, b1, w2, b2`` the two output projections.
     """
 
     q: np.ndarray
@@ -69,6 +83,27 @@ class AdditiveParams:
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
+    q_ln: Optional[LnParams] = None
+
+
+AttentionParams = Union[MhsaParams, AdditiveParams]
+
+
+def attend(kind, tokens, p, heads, pool):
+    """Run the ``kind`` mechanism over (n, d) tokens.
+
+    ``p`` is the kind's parameter group: :class:`MhsaParams` for
+    self-attention, :class:`AdditiveParams` otherwise.  ``heads`` applies to
+    self-attention only.  Returns (1, d) with ``pool``, else (n, d) rows.
+    """
+    check_kind(kind)
+    if kind == ATTENTION_SELF:
+        out = mhsa(tokens, p, heads)
+        return mean_rows(out) if pool else out
+    if kind == ATTENTION_MEAA:
+        q_normed = layer_norm(p.q, p.q_ln.gamma, p.q_ln.beta)
+        return meaa(q_normed, tokens, p, pool)
+    return eaa_original(tokens, p, pool)
 
 
 def _check_tokens(x, name):
@@ -118,7 +153,13 @@ def _project_rows(fused, residual, residual_name, p, pool):
     return out
 
 
-def _scalar_additive(q_normed, tokens, p, pool):
+def meaa(q_normed, tokens, p, pool=True):
+    """Modified additive attention; (1, d) pooled, or (n, d) rows.
+
+    The query is gated by the scalar score, broadcast against the projected
+    keys, passed through the two projections with a query residual, and the
+    transformed rows are mean-pooled unless ``pool`` is false.
+    """
     x = _check_tokens(tokens, "additive attention tokens")
     check_tensor(q_normed, rank=2, name="normalized query")
     n, d = x.shape
@@ -139,21 +180,6 @@ def _scalar_additive(q_normed, tokens, p, pool):
     meter_free("k")
     meter_free("q_gated")
     return _project_rows(fused, q_star, "q_star", p, pool)
-
-
-def meaa(q_normed, tokens, p):
-    """Modified additive attention, pooled to a single (1, d) vector.
-
-    The query is gated by the scalar score, broadcast against the projected
-    keys, passed through the two projections with a query residual, and the
-    transformed rows are mean-pooled.
-    """
-    return _scalar_additive(q_normed, tokens, p, pool=True)
-
-
-def meaa_rows(q_normed, tokens, p):
-    """Modified additive attention without the final mean: (n, d) rows."""
-    return _scalar_additive(q_normed, tokens, p, pool=False)
 
 
 @dataclass
@@ -219,7 +245,14 @@ def meaa_grad(q_normed, tokens, p, upstream):
 # original additive attention (matrix query)
 # ---------------------------------------------------------------------------
 
-def _matrix_additive(tokens, p, pool):
+def eaa_original(tokens, p, pool=True):
+    """Original additive attention; (1, d) pooled, or (n, d) rows.
+
+    Every token projects to a query row; softmax-normalized per-row scores
+    weight the rows into one global query, which gates the keys.  The two
+    projections carry a per-row query residual before the mean pool, which
+    is skipped unless ``pool`` is true.
+    """
     x = _check_tokens(tokens, "additive attention tokens")
     n, d = x.shape
     q = matmul(x, p.wq)
@@ -240,21 +273,6 @@ def _matrix_additive(tokens, p, pool):
     meter_free("k")
     meter_free("q_global")
     return _project_rows(fused, q, "q", p, pool)
-
-
-def eaa_original(tokens, p):
-    """Original additive attention, pooled to a single (1, d) vector.
-
-    Every token projects to a query row; softmax-normalized per-row scores
-    weight the rows into one global query, which gates the keys.  The two
-    projections carry a per-row query residual before the mean pool.
-    """
-    return _matrix_additive(tokens, p, pool=True)
-
-
-def eaa_rows(tokens, p):
-    """Original additive attention without the final mean: (n, d) rows."""
-    return _matrix_additive(tokens, p, pool=False)
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +297,6 @@ def mhsa(tokens, p, heads):
         weights = softmax_rows(scores)
         ctx[:, lo:hi] = matmul(weights, v[:, lo:hi])
     return matmul(ctx, p.fuse)
-
-
-def pooled_mhsa(tokens, p, heads):
-    """Self-attention followed by a mean pool to (1, d)."""
-    return mean_rows(mhsa(tokens, p, heads))
 
 
 def flat_self_attention(tokens, wq, wk, wv):

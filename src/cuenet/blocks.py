@@ -8,8 +8,9 @@ each preceded by its own layer normalization:
 1. temporal affinity: a shared value projection, a depthwise temporal
    convolution over the spatial grid (class tokens pass through), and a
    fusing projection;
-2. a per-frame token mixer, either softmax self-attention over the frame's
-   tokens or one of the additive mechanisms in row-preserving form;
+2. a per-frame token mixer: the block's attention kind, run by
+   :func:`cuenet.attention.attend` over each frame's tokens in
+   row-preserving form;
 3. a two-layer feed-forward unit with an exact-erf GELU.
 
 The temporal convolution is the only place information crosses frames in a
@@ -18,19 +19,17 @@ local block; the mixer never attends across frame boundaries.
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import attention
-from .errors import ConfigError, ShapeError
+# The kind names stay importable from here for existing callers.
+from .attention import (ATTENTION_EAA, ATTENTION_KINDS,  # noqa: F401
+                        ATTENTION_MEAA, ATTENTION_SELF)
+from .errors import ShapeError
 from .instrument import stage
-from .tensor import check_tensor, dwconv3d, gelu, layer_norm, matmul
-
-ATTENTION_SELF = "self_attention"
-ATTENTION_MEAA = "meaa"
-ATTENTION_EAA = "eaa_original"
-ATTENTION_KINDS = (ATTENTION_SELF, ATTENTION_MEAA, ATTENTION_EAA)
+from .tensor import (LnParams, check_tensor, dwconv3d, gelu, layer_norm,
+                     matmul)
 
 
 @dataclass
@@ -85,12 +84,6 @@ class TokenField:
 
 
 @dataclass
-class LnParams:
-    gamma: np.ndarray
-    beta: np.ndarray
-
-
-@dataclass
 class LtParams:
     """Temporal affinity unit: value map, per-channel temporal taps, fuse."""
 
@@ -109,22 +102,21 @@ class FfnParams:
 
 @dataclass
 class LocalBlockParams:
-    """One local block: three normalizations and their sub-units."""
+    """One local block: three normalizations and their sub-units.
+
+    ``attn`` is the parameter group of the ``attn_kind`` mechanism.
+    """
 
     ln1: LnParams
     lt: LtParams
     ln2: LnParams
     attn_kind: str
-    gs: Optional[attention.MhsaParams]
-    add: Optional[attention.AdditiveParams]
-    add_q_ln: Optional[LnParams]
+    attn: attention.AttentionParams
     ln3: LnParams
     ffn: FfnParams
 
     def __post_init__(self):
-        if self.attn_kind not in ATTENTION_KINDS:
-            raise ConfigError(f"unknown attention kind {self.attn_kind!r}; "
-                              f"expected one of {ATTENTION_KINDS}")
+        attention.check_kind(self.attn_kind)
 
 
 def _normed(field, ln):
@@ -151,31 +143,11 @@ def lt_mhra(field, p):
     return field.with_data(fused)
 
 
-def gs_mhra(field, p, heads):
-    """Per-frame softmax self-attention over an already-normalized field."""
+def frame_mixer(field, kind, p, heads):
+    """Per-frame ``kind`` attention over an already-normalized field."""
     out = np.empty_like(field.data)
     for t in range(field.frames):
-        out[t] = attention.mhsa(field.data[t], p, heads)
-    return field.with_data(out)
-
-
-def additive_mixer(field, p, q_ln, kind):
-    """Per-frame additive attention in row-preserving form.
-
-    For the modified kind the block-owned query is normalized once and
-    shared across frames; the original kind derives its queries from the
-    frame's own tokens.
-    """
-    out = np.empty_like(field.data)
-    if kind == ATTENTION_MEAA:
-        q_normed = layer_norm(p.q, q_ln.gamma, q_ln.beta)
-        for t in range(field.frames):
-            out[t] = attention.meaa_rows(q_normed, field.data[t], p)
-    elif kind == ATTENTION_EAA:
-        for t in range(field.frames):
-            out[t] = attention.eaa_rows(field.data[t], p)
-    else:
-        raise ConfigError(f"additive mixer cannot run kind {kind!r}")
+        out[t] = attention.attend(kind, field.data[t], p, heads, pool=False)
     return field.with_data(out)
 
 
@@ -200,11 +172,8 @@ def local_uniblock_forward(field, p, heads, stage_prefix=None):
         mixed = lt_mhra(_normed(field, p.ln1), p.lt)
         field = field.with_data(field.data + mixed.data)
     with unit_stage("attn"):
-        normed = _normed(field, p.ln2)
-        if p.attn_kind == ATTENTION_SELF:
-            mixed = gs_mhra(normed, p.gs, heads)
-        else:
-            mixed = additive_mixer(normed, p.add, p.add_q_ln, p.attn_kind)
+        mixed = frame_mixer(_normed(field, p.ln2), p.attn_kind, p.attn,
+                            heads)
         field = field.with_data(field.data + mixed.data)
     with unit_stage("ffn"):
         lifted = ffn(_normed(field, p.ln3), p.ffn)

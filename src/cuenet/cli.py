@@ -93,22 +93,32 @@ def _crop_summary(decision, in_shape, out_shape):
     }
 
 
-# ---------------------------------------------------------------------------
-# subcommand handlers
-# ---------------------------------------------------------------------------
-
-def cmd_crop(args):
+def _read_clip(args):
+    """The ``--video`` clip and its ``--detections`` stream, checked to agree."""
     from . import crop, ctf
     video = ctf.read_tensor(args.video)
     if video.ndim != 4:
         raise FormatError(f"clip tensor must have rank 4, got rank "
                           f"{video.ndim}")
+    if video.shape[1] < 1 or video.shape[2] < 1:
+        raise FormatError(f"clip frames must be non-empty, got "
+                          f"{video.shape[1]}x{video.shape[2]}")
     sequence = crop.parse_detections(_read_text(args.detections),
                                      height=video.shape[1],
                                      width=video.shape[2])
     if sequence.frame_count != video.shape[0]:
         raise FormatError(f"detection stream covers {sequence.frame_count} "
                           f"frames, clip has {video.shape[0]}")
+    return video, sequence
+
+
+# ---------------------------------------------------------------------------
+# subcommand handlers
+# ---------------------------------------------------------------------------
+
+def cmd_crop(args):
+    from . import crop, ctf
+    video, sequence = _read_clip(args)
     decision = crop.compute_crop_box(sequence)
     cropped = crop.apply_crop(video, decision)
     _write_atomic(args.out, ctf.tensor_bytes(cropped))
@@ -122,26 +132,13 @@ def cmd_crop(args):
 
 def cmd_infer(args):
     import numpy as np
-    from . import crop, ctf, fusion, model
-    from .tensor import dtype_of
+    from . import crop, fusion, model
     from .weights import load_weights
     if args.threads is not None and args.threads < 1:
         raise ConfigError(f"thread count must be at least 1, got "
                           f"{args.threads}")
     cfg = _load_config(args)
-    video = ctf.read_tensor(args.video)
-    if video.ndim != 4:
-        raise FormatError(f"clip tensor must have rank 4, got rank "
-                          f"{video.ndim}")
-    target = dtype_of(cfg.precision)
-    if video.dtype != target:
-        video = video.astype(target)
-    sequence = crop.parse_detections(_read_text(args.detections),
-                                     height=video.shape[1],
-                                     width=video.shape[2])
-    if sequence.frame_count != video.shape[0]:
-        raise FormatError(f"detection stream covers {sequence.frame_count} "
-                          f"frames, clip has {video.shape[0]}")
+    video, sequence = _read_clip(args)
     container = load_weights(args.weights, precision=cfg.precision,
                              allow_widen=args.precision is not None)
     decision = crop.compute_crop_box(sequence)
@@ -161,21 +158,10 @@ def cmd_infer(args):
 
 
 def cmd_init_weights(args):
-    import io
-    from .weights import init_weights, param_count, save_weights
+    from .weights import container_bytes, init_weights, param_count
     cfg = _load_config(args)
     container = init_weights(cfg)
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(os.path.abspath(args.out)) or ".",
-        prefix=".tmp-", suffix=os.path.basename(args.out))
-    os.close(fd)
-    try:
-        save_weights(container, tmp)
-        os.replace(tmp, args.out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_atomic(args.out, container_bytes(container))
     info = {"entries": len(container.entries),
             "parameters": param_count(cfg), "precision": cfg.precision,
             "seed": cfg.seed}
@@ -236,7 +222,7 @@ def cmd_gradcheck(args):
 def cmd_selftest(args):
     import numpy as np
     from . import analysis, crop, model
-    from .blocks import ATTENTION_KINDS
+    from .attention import ATTENTION_KINDS
     from .config import desk_preset
     from .tensor import dtype_of
     from .weights import init_weights

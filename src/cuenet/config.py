@@ -8,7 +8,7 @@ tolerates blank lines, ``#`` comments, and surrounding whitespace.
 
 from dataclasses import dataclass, replace
 
-from .blocks import ATTENTION_KINDS, ATTENTION_MEAA, ATTENTION_SELF
+from .attention import ATTENTION_MEAA, ATTENTION_SELF, check_kind
 from .errors import ConfigError
 from .tensor import DTYPES
 
@@ -82,9 +82,7 @@ class ModelConfig:
                               f"{len(self.local_attention)} kinds for "
                               f"local_depth {self.local_depth}")
         for kind in self.local_attention + (self.global_attention,):
-            if kind not in ATTENTION_KINDS:
-                raise ConfigError(f"unknown attention kind {kind!r}; expected "
-                                  f"one of {ATTENTION_KINDS}")
+            check_kind(kind)
         if self.precision not in DTYPES:
             raise ConfigError(f"precision must be one of {sorted(DTYPES)}, "
                               f"got {self.precision!r}")

@@ -138,14 +138,13 @@ def parse_detections(source, height, width):
     frame after validating ordering; a line with ``min > max`` is rejected
     with its line number.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        text = source.read()
+    try:
+        text = source if isinstance(source, (str, bytes)) else source.read()
         if isinstance(text, bytes):
             text = text.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"detection stream is not UTF-8 text "
+                          f"({exc.reason})") from None
     by_index = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -10,42 +10,40 @@ frames into one token sequence and reduces it to a single clip vector:
    there is no single token row to add it to;
 3. a feed-forward unit refines the pooled vector with a residual.
 
-The attention step is selectable between softmax self-attention (quadratic
-in token count) and the two additive mechanisms (linear in token count);
-see :mod:`cuenet.attention`.
+The attention step runs the block's kind through
+:func:`cuenet.attention.attend`: softmax self-attention (quadratic in token
+count) or one of the two additive mechanisms (linear in token count).
 """
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import attention
-from .blocks import (ATTENTION_EAA, ATTENTION_KINDS, ATTENTION_MEAA,
-                     ATTENTION_SELF, FfnParams, LnParams)
-from .errors import ConfigError, ParamError
+from .blocks import FfnParams
+from .errors import ParamError
 from .instrument import stage
-from .tensor import check_tensor, dwconv3d, gelu, layer_norm, matmul
+from .tensor import (LnParams, check_tensor, dwconv3d, gelu, layer_norm,
+                     matmul)
 
 
 @dataclass
 class GlobalBlockParams:
-    """Depthwise positional kernel, attention choice, and feed-forward."""
+    """Depthwise positional kernel, attention choice, and feed-forward.
+
+    ``attn`` is the parameter group of the ``attn_kind`` mechanism.
+    """
 
     dpe_kernel: np.ndarray            # (kt, kh, kw, d), odd extents
     ln_tokens: LnParams
     attn_kind: str
-    gs: Optional[attention.MhsaParams]
-    add: Optional[attention.AdditiveParams]
-    ln_q: Optional[LnParams]          # modified additive kind only
+    attn: attention.AttentionParams
     ln_ffn: LnParams
     ffn: FfnParams
 
     def __post_init__(self):
-        if self.attn_kind not in ATTENTION_KINDS:
-            raise ConfigError(f"unknown attention kind {self.attn_kind!r}; "
-                              f"expected one of {ATTENTION_KINDS}")
+        attention.check_kind(self.attn_kind)
 
 
 def dpe(field, kernel):
@@ -89,15 +87,8 @@ def global_uniblock_forward(field, p, heads, stage_prefix=None, trace=None):
                             p.ln_tokens.beta)
         if trace is not None:
             trace["global.tokens"] = tokens.shape
-        if p.attn_kind == ATTENTION_MEAA:
-            q_normed = layer_norm(p.add.q, p.ln_q.gamma, p.ln_q.beta)
-            pooled = attention.meaa(q_normed, tokens, p.add)
-        elif p.attn_kind == ATTENTION_EAA:
-            pooled = attention.eaa_original(tokens, p.add)
-        elif p.attn_kind == ATTENTION_SELF:
-            pooled = attention.pooled_mhsa(tokens, p.gs, heads)
-        else:  # unreachable; kinds validated at construction
-            raise ConfigError(f"unknown attention kind {p.attn_kind!r}")
+        pooled = attention.attend(p.attn_kind, tokens, p.attn, heads,
+                                  pool=True)
     if trace is not None:
         trace["global.pooled"] = pooled.shape
     with unit_stage("ffn"):

@@ -60,10 +60,6 @@ def counting(counter):
         _active_counter.reset(token)
 
 
-def active_counter():
-    return _active_counter.get()
-
-
 def add_macs(macs):
     """Report ``macs`` executed multiply-adds to the active counter, if any."""
     counter = _active_counter.get()

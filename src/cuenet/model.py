@@ -20,16 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fusion as fusion_ops
-from .attention import AdditiveParams, MhsaParams
-from .blocks import (ATTENTION_MEAA, ATTENTION_SELF, FfnParams, LnParams,
-                     LocalBlockParams, LtParams, TokenField,
+from .attention import (ATTENTION_MEAA, ATTENTION_SELF, AdditiveParams,
+                        MhsaParams)
+from .blocks import (FfnParams, LocalBlockParams, LtParams, TokenField,
                      local_uniblock_forward)
 from .config import PATCH, TEMPORAL_KERNEL
 from .crop import apply_crop, compute_crop_box
 from .errors import ConfigError
 from .global_block import GlobalBlockParams, global_uniblock_forward
 from .instrument import stage
-from .tensor import check_tensor, conv3d, dtype_of
+from .tensor import LnParams, check_tensor, conv3d, dtype_of
 from .weights import validate_container
 
 
@@ -59,33 +59,33 @@ def bind_parameters(container, cfg):
 
     def attention_group(base, kind):
         if kind == ATTENTION_SELF:
-            gs = MhsaParams(wq=e[f"{base}.gs.wq"], wk=e[f"{base}.gs.wk"],
-                            wv=e[f"{base}.gs.wv"], fuse=e[f"{base}.gs.fuse"])
-            return gs, None, None
+            return MhsaParams(wq=e[f"{base}.gs.wq"], wk=e[f"{base}.gs.wk"],
+                              wv=e[f"{base}.gs.wv"],
+                              fuse=e[f"{base}.gs.fuse"])
         prefix = f"{base}.attn"
-        add = AdditiveParams(
-            q=e[f"{prefix}.q"] if kind == ATTENTION_MEAA else None,
+        modified = kind == ATTENTION_MEAA
+        return AdditiveParams(
+            q=e[f"{prefix}.q"] if modified else None,
             wq=e[f"{prefix}.wq"], wk=e[f"{prefix}.wk"],
             w_a=e[f"{prefix}.w_a"], w1=e[f"{prefix}.w1"],
-            b1=e[f"{prefix}.b1"], w2=e[f"{prefix}.w2"], b2=e[f"{prefix}.b2"])
-        q_ln = ln(f"{prefix}.q_ln") if kind == ATTENTION_MEAA else None
-        return None, add, q_ln
+            b1=e[f"{prefix}.b1"], w2=e[f"{prefix}.w2"], b2=e[f"{prefix}.b2"],
+            q_ln=ln(f"{prefix}.q_ln") if modified else None)
 
     local_blocks = []
     for i, kind in enumerate(cfg.local_attention):
         base = f"local{i}"
-        gs, add, q_ln = attention_group(base, kind)
         local_blocks.append(LocalBlockParams(
             ln1=ln(f"{base}.ln1"),
             lt=LtParams(value=e[f"{base}.lt.value"],
                         kernel=e[f"{base}.lt.kernel"],
                         fuse=e[f"{base}.lt.fuse"]),
-            ln2=ln(f"{base}.ln2"), attn_kind=kind, gs=gs, add=add,
-            add_q_ln=q_ln, ln3=ln(f"{base}.ln3"), ffn=ffn(f"{base}.ffn")))
-    gs, add, q_ln = attention_group("global", cfg.global_attention)
+            ln2=ln(f"{base}.ln2"), attn_kind=kind,
+            attn=attention_group(base, kind), ln3=ln(f"{base}.ln3"),
+            ffn=ffn(f"{base}.ffn")))
     global_block = GlobalBlockParams(
         dpe_kernel=e["global.dpe.kernel"], ln_tokens=ln("global.ln_tokens"),
-        attn_kind=cfg.global_attention, gs=gs, add=add, ln_q=q_ln,
+        attn_kind=cfg.global_attention,
+        attn=attention_group("global", cfg.global_attention),
         ln_ffn=ln("global.ln_ffn"), ffn=ffn("global.ffn"))
     return ModelParams(
         patch_kernel=e["backbone.conv.kernel"],

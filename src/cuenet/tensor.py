@@ -18,6 +18,8 @@ by the backend, so repeated runs on the same machine are bit-identical even
 though the order is not literal left-to-right.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf, expit
@@ -206,6 +208,14 @@ def dwconv3d(x, kernel):
 # ---------------------------------------------------------------------------
 # uncounted nonlinearities and statistics
 # ---------------------------------------------------------------------------
+
+@dataclass
+class LnParams:
+    """Per-feature affine terms of one :func:`layer_norm`."""
+
+    gamma: np.ndarray
+    beta: np.ndarray
+
 
 def layer_norm(x, gamma, beta, eps=1e-6):
     """Normalize the last axis to zero mean, unit population variance.

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ctf
-from .blocks import ATTENTION_MEAA, ATTENTION_SELF
+from .attention import ATTENTION_MEAA, ATTENTION_SELF
 from .config import DPE_KERNEL, PATCH, TEMPORAL_KERNEL
 from .errors import ConfigError, FormatError
 from .tensor import dtype_of, precision_of
@@ -193,8 +193,8 @@ def validate_container(container, cfg):
                               f"expected {spec.shape}")
 
 
-def save_weights(container, path):
-    """Serialize a container to ``path``."""
+def container_bytes(container):
+    """Serialize a container to the canonical byte layout."""
     names = container.names()
     blobs = []
     manifest_size = 4 + 1 + 4
@@ -215,11 +215,14 @@ def save_weights(container, path):
         parts.append(struct.pack(f"<B{array.ndim}IBQ", array.ndim,
                                  *array.shape, flag, offset))
         offset += len(blob)
+    return b"".join(parts + blobs)
+
+
+def save_weights(container, path):
+    """Write a container to ``path``."""
+    data = container_bytes(container)
     with open(path, "wb") as fh:
-        for part in parts:
-            fh.write(part)
-        for blob in blobs:
-            fh.write(blob)
+        fh.write(data)
 
 
 def load_weights(path, precision=None, allow_widen=False):

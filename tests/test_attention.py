@@ -4,11 +4,49 @@ import numpy as np
 import pytest
 
 from cuenet import attention
-from cuenet.errors import ShapeError
+from cuenet.errors import ConfigError, ShapeError
 from cuenet.instrument import MacCounter, MemoryMeter, counting, metering
+from cuenet.tensor import LnParams, layer_norm, mean_rows
 
 from util import (assert_close, eaa_oracle, matmul_oracle, meaa_oracle,
                   mhsa_oracle, random_additive_params, random_mhsa_params)
+
+
+class TestAttend:
+    """The dispatcher runs exactly the kernel its kind names."""
+
+    def instance(self, kind, n=5, d=8, seed=150):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, d))
+        if kind == attention.ATTENTION_SELF:
+            return x, random_mhsa_params(rng, d)
+        p = random_additive_params(rng, d,
+                                   with_q=kind == attention.ATTENTION_MEAA)
+        if kind == attention.ATTENTION_MEAA:
+            p.q_ln = LnParams(gamma=rng.standard_normal(d),
+                              beta=rng.standard_normal(d))
+        return x, p
+
+    @pytest.mark.parametrize("pool", (True, False))
+    @pytest.mark.parametrize("kind", attention.ATTENTION_KINDS)
+    def test_matches_direct_kernel_call(self, kind, pool):
+        x, p = self.instance(kind)
+        got = attention.attend(kind, x, p, heads=2, pool=pool)
+        if kind == attention.ATTENTION_SELF:
+            rows = attention.mhsa(x, p, 2)
+            want = mean_rows(rows) if pool else rows
+        elif kind == attention.ATTENTION_MEAA:
+            q_normed = layer_norm(p.q, p.q_ln.gamma, p.q_ln.beta)
+            want = attention.meaa(q_normed, x, p, pool=pool)
+        else:
+            want = attention.eaa_original(x, p, pool=pool)
+        assert got.shape == ((1, 8) if pool else (5, 8))
+        assert got.tobytes() == want.tobytes()
+
+    def test_unknown_kind_raises_config_error(self):
+        x, p = self.instance(attention.ATTENTION_EAA)
+        with pytest.raises(ConfigError):
+            attention.attend("windowed", x, p, heads=1, pool=True)
 
 
 class TestMeaa:
@@ -22,7 +60,7 @@ class TestMeaa:
             x = rng.standard_normal((n, d))
             assert_close(attention.meaa(q_normed, x, params),
                          meaa_oracle(q_normed, x, params), rel=1e-12)
-            assert_close(attention.meaa_rows(q_normed, x, params),
+            assert_close(attention.meaa(q_normed, x, params, pool=False),
                          meaa_oracle(q_normed, x, params, pooled=False),
                          rel=1e-12)
 
@@ -71,7 +109,7 @@ class TestMeaa:
         q_normed = rng.standard_normal((1, d))
         x = rng.standard_normal((1, d))
         pooled = attention.meaa(q_normed, x, params)
-        rows = attention.meaa_rows(q_normed, x, params)
+        rows = attention.meaa(q_normed, x, params, pool=False)
         assert np.array_equal(pooled, rows)
 
     def test_gate_scalar_linear_in_score_weights(self):
@@ -125,7 +163,7 @@ class TestEaa:
             x = rng.standard_normal((n, d))
             assert_close(attention.eaa_original(x, params),
                          eaa_oracle(x, params), rel=1e-12)
-            assert_close(attention.eaa_rows(x, params),
+            assert_close(attention.eaa_original(x, params, pool=False),
                          eaa_oracle(x, params, pooled=False), rel=1e-12)
 
     def test_single_token_degenerates_to_scalar_query_shape(self):
@@ -146,7 +184,7 @@ class TestEaa:
         params = random_additive_params(rng, d, with_q=False)
         row = rng.standard_normal((1, d))
         x = np.repeat(row, n, axis=0)
-        got_rows = attention.eaa_rows(x, params)
+        got_rows = attention.eaa_original(x, params, pool=False)
         # all rows identical, and equal to the uniform-weight oracle
         for i in range(1, n):
             assert_close(got_rows[i], got_rows[0], rel=1e-14)
@@ -303,8 +341,9 @@ class TestMhsa:
         params = random_mhsa_params(rng, d)
         counter = MacCounter()
         with counting(counter):
-            out = attention.pooled_mhsa(rng.standard_normal((n, d)), params,
-                                        heads=2)
+            out = attention.attend(attention.ATTENTION_SELF,
+                                   rng.standard_normal((n, d)), params,
+                                   heads=2, pool=True)
         assert out.shape == (1, d)
         assert counter.total == 4 * n * d * d + n * d + 2 * n * n * d + d
 

@@ -38,19 +38,21 @@ def random_ffn(rng, d, hidden):
                      b2=0.1 * rng.standard_normal(d))
 
 
+def random_attention(rng, d, kind):
+    """Seeded parameter group for one attention kind."""
+    if kind == blocks.ATTENTION_SELF:
+        return random_mhsa_params(rng, d)
+    p = random_additive_params(rng, d, with_q=kind == blocks.ATTENTION_MEAA)
+    if kind == blocks.ATTENTION_MEAA:
+        p.q_ln = random_ln(rng, d)
+    return p
+
+
 def random_block(rng, d, kind, kt=3, hidden=None):
     hidden = hidden or 2 * d
-    gs = add = add_q_ln = None
-    if kind == blocks.ATTENTION_SELF:
-        gs = random_mhsa_params(rng, d)
-    else:
-        add = random_additive_params(rng, d,
-                                     with_q=kind == blocks.ATTENTION_MEAA)
-        if kind == blocks.ATTENTION_MEAA:
-            add_q_ln = random_ln(rng, d)
+    attn = random_attention(rng, d, kind)
     return LocalBlockParams(ln1=random_ln(rng, d), lt=random_lt(rng, d, kt),
-                            ln2=random_ln(rng, d), attn_kind=kind, gs=gs,
-                            add=add, add_q_ln=add_q_ln,
+                            ln2=random_ln(rng, d), attn_kind=kind, attn=attn,
                             ln3=random_ln(rng, d),
                             ffn=random_ffn(rng, d, hidden))
 
@@ -166,7 +168,7 @@ class TestGsMhra:
         d, heads = 8, 2
         field = random_field(rng, frames=3, d=d)
         p = random_mhsa_params(rng, d)
-        out = blocks.gs_mhra(field, p, heads)
+        out = blocks.frame_mixer(field, blocks.ATTENTION_SELF, p, heads)
         for t in range(field.frames):
             assert_close(out.data[t], mhsa_oracle(field.data[t], p, heads),
                          rel=1e-12)
@@ -175,10 +177,11 @@ class TestGsMhra:
         rng = np.random.default_rng(21)
         field = random_field(rng, frames=3, d=8)
         p = random_mhsa_params(rng, 8)
-        base = blocks.gs_mhra(field, p, heads=2)
+        base = blocks.frame_mixer(field, blocks.ATTENTION_SELF, p, heads=2)
         bumped = field.data.copy()
         bumped[1] += 10.0
-        redone = blocks.gs_mhra(field.with_data(bumped), p, heads=2)
+        redone = blocks.frame_mixer(field.with_data(bumped),
+                                    blocks.ATTENTION_SELF, p, heads=2)
         assert np.array_equal(redone.data[0], base.data[0])
         assert np.array_equal(redone.data[2], base.data[2])
         assert not np.allclose(redone.data[1], base.data[1])
@@ -187,7 +190,8 @@ class TestGsMhra:
         rng = np.random.default_rng(22)
         field = random_field(rng, d=6)
         with pytest.raises(ShapeError):
-            blocks.gs_mhra(field, random_mhsa_params(rng, 6), heads=4)
+            blocks.frame_mixer(field, blocks.ATTENTION_SELF,
+                               random_mhsa_params(rng, 6), heads=4)
 
 
 class TestAdditiveMixer:
@@ -196,8 +200,8 @@ class TestAdditiveMixer:
         d = 6
         field = random_field(rng, frames=3, d=d)
         p = random_additive_params(rng, d, with_q=True)
-        q_ln = random_ln(rng, d)
-        out = blocks.additive_mixer(field, p, q_ln, blocks.ATTENTION_MEAA)
+        p.q_ln = q_ln = random_ln(rng, d)
+        out = blocks.frame_mixer(field, blocks.ATTENTION_MEAA, p, heads=1)
         q_normed = layer_norm(p.q, q_ln.gamma, q_ln.beta)
         for t in range(field.frames):
             assert_close(out.data[t],
@@ -209,19 +213,11 @@ class TestAdditiveMixer:
         d = 6
         field = random_field(rng, frames=2, d=d)
         p = random_additive_params(rng, d, with_q=False)
-        out = blocks.additive_mixer(field, p, None, blocks.ATTENTION_EAA)
+        out = blocks.frame_mixer(field, blocks.ATTENTION_EAA, p, heads=1)
         for t in range(field.frames):
             assert_close(out.data[t],
                          eaa_oracle(field.data[t], p, pooled=False),
                          rel=1e-12)
-
-    def test_rejects_softmax_kind(self):
-        rng = np.random.default_rng(32)
-        field = random_field(rng, d=4)
-        p = random_additive_params(rng, 4, with_q=True)
-        with pytest.raises(ConfigError):
-            blocks.additive_mixer(field, p, random_ln(rng, 4),
-                                  blocks.ATTENTION_SELF)
 
 
 class TestFfn:
@@ -270,11 +266,8 @@ class TestLocalBlock:
         stagewise = field
         mixed = blocks.lt_mhra(normed(stagewise, p.ln1), p.lt)
         stagewise = stagewise.with_data(stagewise.data + mixed.data)
-        n2 = normed(stagewise, p.ln2)
-        if kind == blocks.ATTENTION_SELF:
-            mixed = blocks.gs_mhra(n2, p.gs, heads)
-        else:
-            mixed = blocks.additive_mixer(n2, p.add, p.add_q_ln, kind)
+        mixed = blocks.frame_mixer(normed(stagewise, p.ln2), kind, p.attn,
+                                   heads)
         stagewise = stagewise.with_data(stagewise.data + mixed.data)
         lifted = blocks.ffn(normed(stagewise, p.ln3), p.ffn)
         stagewise = stagewise.with_data(stagewise.data + lifted.data)
@@ -290,7 +283,7 @@ class TestLocalBlock:
         field = random_field(rng, d=d)
         p = random_block(rng, d, blocks.ATTENTION_SELF)
         p.lt.fuse[:] = 0.0
-        p.gs.fuse[:] = 0.0
+        p.attn.fuse[:] = 0.0
         p.ffn.w2[:] = 0.0
         p.ffn.b2[:] = 0.0
         out = blocks.local_uniblock_forward(field, p, heads=2)

@@ -94,6 +94,15 @@ class TestCrop:
         assert proc.returncode == 2
         assert "4" in proc.stderr
 
+    def test_zero_spatial_extent_exits_2(self, workdir, tmp_path):
+        clip = tmp_path / "flat.ctf"
+        ctf.write_tensor(clip, np.zeros((8, 0, 10, 3)))
+        proc = run_cli("crop", "--video", str(clip),
+                       "--detections", str(workdir / "solo.jsonl"),
+                       "--out", str(tmp_path / "c.ctf"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
 
 class TestInfer:
     def infer(self, workdir, *extra):
@@ -225,6 +234,25 @@ class TestInfer:
                        "--weights", str(workdir / "desk.cwc"))
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+
+    def test_zero_spatial_extent_exits_2(self, workdir, tmp_path):
+        clip = tmp_path / "flat.ctf"
+        ctf.write_tensor(clip, np.zeros((8, 0, 10, 3)))
+        proc = run_cli("infer", "--video", str(clip),
+                       "--detections", str(workdir / "solo.jsonl"),
+                       "--weights", str(workdir / "desk.cwc"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+    def test_clip_precision_mismatch_exits_3(self, workdir):
+        # a double clip is not narrowed to the configured single precision
+        proc = run_cli("infer", "--video", str(workdir / "clip.ctf"),
+                       "--detections", str(workdir / "det.jsonl"),
+                       "--weights", str(workdir / "desk32.cwc"),
+                       "--precision", "f32")
+        assert proc.returncode == 3
+        assert "dtype" in proc.stderr
+        assert proc.stdout == ""
 
     def test_nan_inside_crop_exits_4(self, workdir, tmp_path):
         video = ctf.read_tensor(workdir / "clip.ctf").copy()

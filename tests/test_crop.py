@@ -1,5 +1,6 @@
 """Detection parsing, crop policy, and pixel extraction."""
 
+import io
 import json
 import math
 
@@ -93,6 +94,13 @@ class TestParsing:
         seq = crop.parse_detections(
             lines({"frame": 0, "boxes": []}).encode(), height=10, width=10)
         assert seq.frame_count == 1
+
+    def test_undecodable_input_rejected(self):
+        with pytest.raises(FormatError, match="UTF-8"):
+            crop.parse_detections(b"\xff", height=4, width=4)
+        with pytest.raises(FormatError, match="UTF-8"):
+            crop.parse_detections(io.BytesIO(b'{"frame": 0}\xff\n'),
+                                  height=4, width=4)
 
 
 class TestPolicy:

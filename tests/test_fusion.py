@@ -8,25 +8,18 @@ from cuenet.blocks import ATTENTION_KINDS, ATTENTION_MEAA, ATTENTION_SELF
 from cuenet.errors import ParamError, ShapeError
 from cuenet.global_block import GlobalBlockParams
 from cuenet.instrument import UNATTRIBUTED, MacCounter, counting
-from cuenet.tensor import gelu, layer_norm
+from cuenet.tensor import gelu, layer_norm, mean_rows
 
-from test_blocks import random_ffn, random_field, random_ln
-from util import (assert_close, dwconv3d_oracle, matmul_oracle,
-                  random_additive_params, random_mhsa_params)
+from test_blocks import random_attention, random_ffn, random_field, random_ln
+from util import assert_close, dwconv3d_oracle, matmul_oracle
 
 
 def random_global(rng, d, kind, hidden=None):
     hidden = hidden or 2 * d
-    gs = add = ln_q = None
-    if kind == ATTENTION_SELF:
-        gs = random_mhsa_params(rng, d)
-    else:
-        add = random_additive_params(rng, d, with_q=kind == ATTENTION_MEAA)
-        if kind == ATTENTION_MEAA:
-            ln_q = random_ln(rng, d)
+    attn = random_attention(rng, d, kind)
     return GlobalBlockParams(dpe_kernel=rng.standard_normal((3, 3, 3, d)),
                              ln_tokens=random_ln(rng, d), attn_kind=kind,
-                             gs=gs, add=add, ln_q=ln_q,
+                             attn=attn,
                              ln_ffn=random_ln(rng, d),
                              ffn=random_ffn(rng, d, hidden))
 
@@ -96,12 +89,13 @@ class TestGlobalBlock:
         tokens = layer_norm(staged.flat(), p.ln_tokens.gamma,
                             p.ln_tokens.beta)
         if kind == ATTENTION_MEAA:
-            q_normed = layer_norm(p.add.q, p.ln_q.gamma, p.ln_q.beta)
-            pooled = attention.meaa(q_normed, tokens, p.add)
+            q_normed = layer_norm(p.attn.q, p.attn.q_ln.gamma,
+                                  p.attn.q_ln.beta)
+            pooled = attention.meaa(q_normed, tokens, p.attn)
         elif kind == ATTENTION_SELF:
-            pooled = attention.pooled_mhsa(tokens, p.gs, heads)
+            pooled = mean_rows(attention.mhsa(tokens, p.attn, heads))
         else:
-            pooled = attention.eaa_original(tokens, p.add)
+            pooled = attention.eaa_original(tokens, p.attn)
         want = global_block.row_ffn(pooled, p.ffn, p.ln_ffn)
 
         assert got.shape == (1, d)
@@ -114,8 +108,8 @@ class TestGlobalBlock:
         d = 6
         field = random_field(rng, frames=3, d=d)
         p = random_global(rng, d, ATTENTION_MEAA)
-        p.add.w2[:] = 0.0
-        p.add.b2[:] = 0.0
+        p.attn.w2[:] = 0.0
+        p.attn.b2[:] = 0.0
         p.ffn.w2[:] = 0.0
         p.ffn.b2[:] = 0.0
         out = global_block.global_uniblock_forward(field, p, heads=2)

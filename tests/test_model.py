@@ -5,6 +5,7 @@ import pytest
 
 from cuenet import fusion as fusion_ops
 from cuenet import model, weights
+from cuenet.attention import AdditiveParams, MhsaParams
 from cuenet.blocks import (ATTENTION_EAA, ATTENTION_MEAA, ATTENTION_SELF,
                            local_uniblock_forward)
 from cuenet.config import desk_preset
@@ -38,19 +39,18 @@ class TestBindParameters:
         assert len(params.local_blocks) == 2
         assert params.local_blocks[0].attn_kind == ATTENTION_SELF
         assert params.global_block.attn_kind == ATTENTION_MEAA
-        assert params.global_block.add.q.shape == (1, 64)
+        assert params.global_block.attn.q.shape == (1, 64)
         assert params.fusion.proj.shape == (64, 2)
 
     def test_kind_selects_parameter_family(self):
         cfg = small_config(global_attention=ATTENTION_SELF)
         params = model.bind_parameters(weights.init_weights(cfg), cfg)
-        assert params.global_block.gs is not None
-        assert params.global_block.add is None
+        assert isinstance(params.global_block.attn, MhsaParams)
         cfg = small_config(global_attention=ATTENTION_EAA)
         params = model.bind_parameters(weights.init_weights(cfg), cfg)
-        assert params.global_block.add is not None
-        assert params.global_block.add.q is None
-        assert params.global_block.ln_q is None
+        assert isinstance(params.global_block.attn, AdditiveParams)
+        assert params.global_block.attn.q is None
+        assert params.global_block.attn.q_ln is None
 
     def test_rejects_mismatched_container(self):
         cfg = small_config()
