@@ -286,6 +286,8 @@ def bench_attention(kind, sizes, d=64, reps=7, seed=0, warmup=2):
         raise ParamError("empty size sweep")
     if any(n < 1 for n in sizes):
         raise ParamError(f"token counts must be positive: {sizes}")
+    if d < 1:
+        raise ParamError(f"token width must be positive, got {d}")
     results = []
     for n in sizes:
         run = _attention_instance(kind, n, d, seed)
@@ -499,8 +501,12 @@ def grad_check(modules=("meaa", "fuse", "classify"), eps=1e-5, tol=1e-4,
 
     Each module draws ``instances`` random problem sizes; a group passes
     when analytic and numeric gradients agree within ``tol`` (absolute and
-    relative) at every element of every instance.
+    relative) at every element of every instance.  At least one instance
+    is required, so a passing report has checked something.
     """
+    if instances < 1:
+        raise ParamError(f"need at least 1 instance per module, got "
+                         f"{instances}")
     report = GradCheckReport()
     for module in modules:
         if module not in _GRAD_MODULES:

@@ -26,6 +26,25 @@ _CLI_ATTENTION = {"self": "self_attention", "meaa": "meaa",
 _CLI_PRECISION = {"f32": "single", "f64": "double"}
 
 
+def _attention_list(text):
+    """argparse type: comma list of CLI attention names -> kernel kinds."""
+    tokens = [token.strip() for token in text.split(",") if token.strip()]
+    if not tokens or any(token not in _CLI_ATTENTION for token in tokens):
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list from {{{','.join(sorted(_CLI_ATTENTION))}"
+            f"}}, got {text!r}")
+    return [_CLI_ATTENTION[token] for token in tokens]
+
+
+def _int_list(text):
+    """argparse type: comma list of integers."""
+    try:
+        return [int(token) for token in text.split(",") if token.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of integers, got {text!r}") from None
+
+
 def _pin_backend_threads():
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
@@ -186,16 +205,11 @@ def cmd_flops(args):
 
 def cmd_bench(args):
     from . import analysis
-    if args.attention:
-        kinds = [_CLI_ATTENTION[token.strip()]
-                 for token in args.attention.split(",") if token.strip()]
-    else:
-        kinds = [_CLI_ATTENTION["meaa"], _CLI_ATTENTION["self"]]
+    kinds = args.attention or [_CLI_ATTENTION["meaa"], _CLI_ATTENTION["self"]]
     results = []
     for kind in kinds:
-        if args.sizes:
-            sizes = [int(token) for token in args.sizes.split(",")
-                     if token.strip()]
+        if args.sizes is not None:
+            sizes = args.sizes
         elif kind == "self_attention":
             sizes = [512 * 2 ** i for i in range(4)]
         else:
@@ -350,11 +364,12 @@ def build_parser():
 
     p = sub.add_parser("bench", help="time attention mechanisms across "
                                      "token counts")
-    p.add_argument("--attention",
+    p.add_argument("--attention", type=_attention_list,
                    help="comma list from {self,meaa,eaa} "
                         "(default: meaa,self)")
-    p.add_argument("--sizes", help="comma list of token counts "
-                                   "(default: per-kind doubling sweep)")
+    p.add_argument("--sizes", type=_int_list,
+                   help="comma list of token counts "
+                        "(default: per-kind doubling sweep)")
     p.add_argument("--d", type=int, default=64, help="token width")
     p.add_argument("--reps", type=int, default=7,
                    help="timed repetitions per size (minimum 5)")

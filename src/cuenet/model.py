@@ -103,6 +103,12 @@ def resize_bilinear(video, out_h, out_w):
     Equal input and output extents return the input unchanged.  Sample
     coordinates clamp at the border, matching the usual edge-replicate
     convention.  Interpolation weights are cast to the clip's precision.
+
+    The resample is separable: one pass interpolates whole rows along H,
+    a second interpolates the result along W.  Each pass gathers the two
+    neighbour rows (or columns) ``a`` and ``b`` and forms the lerp
+    ``a + (b - a) * f`` in place in ``b``, so a pass holds two gathered
+    arrays and no product temporaries, and the input is never modified.
     """
     check_tensor(video, rank=4, name="video")
     t, h, w, c = video.shape
@@ -112,22 +118,22 @@ def resize_bilinear(video, out_h, out_w):
         raise ConfigError(f"resize target must be positive, got "
                           f"({out_h}, {out_w})")
 
-    def axis_weights(out_extent, in_extent):
+    def resample(src, axis, out_extent):
+        in_extent = src.shape[axis]
         centers = (np.arange(out_extent) + 0.5) * (in_extent / out_extent) \
             - 0.5
         centers = np.clip(centers, 0.0, in_extent - 1.0)
         lo = np.floor(centers).astype(np.int64)
         hi = np.minimum(lo + 1, in_extent - 1)
         frac = (centers - lo).astype(video.dtype)
-        return lo, hi, frac
+        out = np.take(src, hi, axis=axis)
+        low = np.take(src, lo, axis=axis)
+        out -= low
+        out *= frac.reshape((out_extent,) + (1,) * (src.ndim - axis - 1))
+        out += low
+        return out
 
-    y0, y1, fy = axis_weights(out_h, h)
-    x0, x1, fx = axis_weights(out_w, w)
-    fy = fy[None, :, None, None]
-    fx = fx[None, None, :, None]
-    top = video[:, y0][:, :, x0] * (1 - fx) + video[:, y0][:, :, x1] * fx
-    bottom = video[:, y1][:, :, x0] * (1 - fx) + video[:, y1][:, :, x1] * fx
-    return top * (1 - fy) + bottom * fy
+    return resample(resample(video, 1, out_h), 2, out_w)
 
 
 def backbone_forward(video, params, cfg):

@@ -153,6 +153,13 @@ def conv3d(x, kernel, stride, padding=(0, 0, 0)):
     ``padding`` per spatial-temporal axis before the valid sweep.  Output
     extents follow the floor convention ``(in + 2p - k)//s + 1``.  Reports
     ``out_elements * kt*kh*kw*c_in`` multiply-adds.
+
+    Each padded frame's strided spatial windows are gathered once as rows
+    of ``kh*kw*c_in`` values, so every temporal tap is one matrix product
+    of those rows with that tap's ``(kh*kw*c_in, c_out)`` kernel slice; the
+    output is the sum of the ``kt`` products.  When the spatial stride
+    equals the kernel extent the rows are the non-overlapping patches, and
+    the convolution is a patch-embedding projection.
     """
     check_tensor(x, rank=4, name="conv3d input")
     check_tensor(kernel, rank=5, name="conv3d kernel")
@@ -173,9 +180,18 @@ def conv3d(x, kernel, stride, padding=(0, 0, 0)):
         raise ShapeError(f"conv3d kernel {kernel.shape[:3]} exceeds padded "
                          f"input {padded.shape[:3]}")
     st, sh, sw = (int(s) for s in stride)
-    windows = sliding_window_view(padded, (kt, kh, kw), axis=(0, 1, 2))
-    windows = windows[::st, ::sh, ::sw]
-    out = np.einsum("thwcijk,ijkco->thwo", windows, kernel)
+    windows = sliding_window_view(padded, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]
+    t_pad, h_out, w_out = windows.shape[:3]
+    # (t, h, w, c, i, j) -> rows ordered (i, j, c) like the kernel's taps
+    rows = windows.transpose(0, 1, 2, 4, 5, 3).reshape(
+        t_pad, h_out * w_out, kh * kw * c_in)
+    taps = kernel.reshape(kt, kh * kw * c_in, c_out)
+    t_out = (t_pad - kt) // st + 1
+    span = (t_out - 1) * st + 1
+    out = rows[0:span:st] @ taps[0]
+    for dt in range(1, kt):
+        out += rows[dt:dt + span:st] @ taps[dt]
+    out = out.reshape(t_out, h_out, w_out, c_out)
     add_macs(out.size * kt * kh * kw * c_in)
     return out
 

@@ -349,6 +349,24 @@ class TestBench:
         assert proc.returncode == 3
         assert "5" in proc.stderr
 
+    def test_unknown_attention_kind_exits_2(self):
+        proc = run_cli("bench", "--attention", "foo", "--sizes", "8")
+        assert proc.returncode == 2
+        assert "--attention" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_non_integer_size_exits_2(self):
+        proc = run_cli("bench", "--sizes", "abc")
+        assert proc.returncode == 2
+        assert "--sizes" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_zero_width_exits_3(self):
+        proc = run_cli("bench", "--attention", "meaa", "--sizes", "8",
+                       "--d", "0")
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+
 
 class TestGradcheckCommand:
     def test_passes_with_report(self):
@@ -361,6 +379,12 @@ class TestGradcheckCommand:
     def test_unknown_module_exits_3(self):
         proc = run_cli("gradcheck", "--modules", "conv")
         assert proc.returncode == 3
+
+    @pytest.mark.parametrize("instances", ["0", "-1"])
+    def test_no_instances_exits_3(self, instances):
+        proc = run_cli("gradcheck", "--instances", instances)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
 
 
 class TestSelftest:

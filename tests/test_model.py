@@ -15,7 +15,7 @@ from cuenet.global_block import global_uniblock_forward
 from cuenet.instrument import UNATTRIBUTED, MacCounter, counting
 from cuenet.tensor import conv3d
 
-from util import assert_close
+from util import assert_close, resize_oracle
 
 
 def small_config(**overrides):
@@ -93,6 +93,21 @@ class TestResize:
                     + video[:, y1, x0] * fy * (1 - fx)
                     + video[:, y1, x1] * fy * fx)
         assert_close(got, want, rel=1e-12)
+
+    def test_uneven_single_precision_downscale_matches_loop_oracle(self):
+        rng = np.random.default_rng(2)
+        video = rng.standard_normal((2, 13, 17, 3)).astype(np.float32)
+        got = model.resize_bilinear(video, 5, 7)
+        assert got.dtype == np.float32
+        assert_close(got, resize_oracle(video.astype(np.float64), 5, 7),
+                     rel=1e-6)
+
+    def test_input_left_unchanged(self):
+        rng = np.random.default_rng(3)
+        video = rng.standard_normal((2, 9, 6, 3))
+        before = video.copy()
+        model.resize_bilinear(video, 4, 11)
+        assert np.array_equal(video, before)
 
     def test_axis_aligned_doubling_interpolates_midpoints(self):
         video = np.arange(4.0).reshape(1, 1, 4, 1)

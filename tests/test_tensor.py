@@ -225,6 +225,15 @@ class TestConv3d:
             want = conv3d_oracle(x, kernel, stride, padding)
             assert got.shape == want.shape
             assert_close(got, want, rel=1e-10)
+        # patch geometry: spatial stride equal to the spatial kernel extent,
+        # floor remainders in H and W, temporal padding as in the backbone
+        x = rng.standard_normal((5, 9, 11, 3))
+        kernel = rng.standard_normal((3, 4, 3, 3, 2))
+        for stride in ((1, 4, 3), (2, 4, 3)):
+            got = tensor.conv3d(x, kernel, stride=stride, padding=(1, 0, 0))
+            want = conv3d_oracle(x, kernel, stride, (1, 0, 0))
+            assert got.shape == want.shape
+            assert_close(got, want, rel=1e-10)
 
     def test_output_extents_follow_floor_rule(self):
         x = np.zeros((5, 9, 7, 1))

@@ -95,6 +95,26 @@ def dwconv3d_oracle(x, kernel):
     return out
 
 
+def resize_oracle(video, out_h, out_w):
+    """Per-output-pixel bilinear blend of the four clamped neighbours."""
+    video = np.asarray(video)
+    t, h, w, c = video.shape
+    out = np.zeros((t, out_h, out_w, c))
+    for i in range(out_h):
+        cy = min(max((i + 0.5) * h / out_h - 0.5, 0.0), h - 1.0)
+        y0, fy = int(math.floor(cy)), cy - math.floor(cy)
+        y1 = min(y0 + 1, h - 1)
+        for j in range(out_w):
+            cx = min(max((j + 0.5) * w / out_w - 0.5, 0.0), w - 1.0)
+            x0, fx = int(math.floor(cx)), cx - math.floor(cx)
+            x1 = min(x0 + 1, w - 1)
+            out[:, i, j, :] = (video[:, y0, x0] * (1 - fy) * (1 - fx)
+                               + video[:, y0, x1] * (1 - fy) * fx
+                               + video[:, y1, x0] * fy * (1 - fx)
+                               + video[:, y1, x1] * fy * fx)
+    return out
+
+
 def meaa_oracle(q_normed, tokens, p, pooled=True):
     """Verbatim loop transcription of the modified additive mechanism.
 
