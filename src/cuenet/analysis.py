@@ -244,19 +244,6 @@ def measured_attention_elements(kind, n, d, seed=0):
     return meter.high_water
 
 
-def format_memory_report(kinds, sizes, d, precision="double"):
-    """Text table of estimated peaks across token counts."""
-    lines = ["# memory report v1",
-             "# peak live intermediate elements per attention application",
-             f"# width d={d}, precision={precision}",
-             "kind,n,elements,bytes"]
-    for kind in kinds:
-        for n in sizes:
-            est = estimate_memory(kind, n, d, precision)
-            lines.append(f"{kind},{n},{est.elements},{est.bytes}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # timing
 # ---------------------------------------------------------------------------

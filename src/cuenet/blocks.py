@@ -17,7 +17,6 @@ The temporal convolution is the only place information crosses frames in a
 local block; the mixer never attends across frame boundaries.
 """
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,22 +159,19 @@ def ffn(field, p):
     return field.with_data(out.reshape(field.data.shape))
 
 
-def local_uniblock_forward(field, p, heads, stage_prefix=None):
-    """Run one local block: three pre-normalized residual sub-units."""
+def local_uniblock_forward(field, p, heads, stage_prefix="local0"):
+    """Run one local block: three pre-normalized residual sub-units.
 
-    def unit_stage(name):
-        if stage_prefix is None:
-            return nullcontext()
-        return stage(f"{stage_prefix}.{name}")
-
-    with unit_stage("lt"):
+    Each sub-unit's work is counted under ``{stage_prefix}.lt|attn|ffn``.
+    """
+    with stage(f"{stage_prefix}.lt"):
         mixed = lt_mhra(_normed(field, p.ln1), p.lt)
         field = field.with_data(field.data + mixed.data)
-    with unit_stage("attn"):
+    with stage(f"{stage_prefix}.attn"):
         mixed = frame_mixer(_normed(field, p.ln2), p.attn_kind, p.attn,
                             heads)
         field = field.with_data(field.data + mixed.data)
-    with unit_stage("ffn"):
+    with stage(f"{stage_prefix}.ffn"):
         lifted = ffn(_normed(field, p.ln3), p.ffn)
         field = field.with_data(field.data + lifted.data)
     return field

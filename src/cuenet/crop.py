@@ -102,33 +102,6 @@ class CropDecision:
     max_people: int
 
 
-class ReplayDetector:
-    """Adapter that replays a previously recorded detection sequence."""
-
-    def __init__(self, sequence):
-        self.sequence = sequence
-
-    def detect(self, frame, index):
-        return list(self.sequence.frames[index])
-
-
-def run_detector(video, adapter):
-    """Run an adapter over every frame of a (T,H,W,C) clip.
-
-    ``adapter.detect(frame, index)`` returns that frame's boxes.
-    """
-    check_tensor(video, rank=4, name="video")
-    t, height, width, _ = video.shape
-    frames = []
-    for i in range(t):
-        boxes = []
-        for box in adapter.detect(video[i], i):
-            boxes.append(clamp_box(box.x_min, box.y_min, box.x_max, box.y_max,
-                                   height, width))
-        frames.append(boxes)
-    return DetectionSequence(frames=frames, height=height, width=width)
-
-
 def parse_detections(source, height, width):
     """Parse a JSON-lines detection stream into a :class:`DetectionSequence`.
 
@@ -152,8 +125,9 @@ def parse_detections(source, height, width):
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc.msg}", line=lineno) from None
+        except ValueError as exc:  # also an integer past the digit limit
+            raise FormatError(f"invalid JSON: {getattr(exc, 'msg', exc)}",
+                              line=lineno) from None
         if not isinstance(record, dict) or "frame" not in record \
                 or "boxes" not in record:
             raise FormatError("expected object with 'frame' and 'boxes'",
@@ -172,7 +146,7 @@ def parse_detections(source, height, width):
                                   f"got {entry!r}", line=lineno)
             try:
                 corners = [float(v) for v in entry]
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise FormatError(f"non-numeric box corner in {entry!r}",
                                   line=lineno) from None
             try:

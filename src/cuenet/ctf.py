@@ -58,7 +58,11 @@ def tensor_from_bytes(buffer, offset=0):
     if len(view) - pos < nbytes:
         raise FormatError(f"tensor payload truncated: need {nbytes} bytes, "
                           f"have {len(view) - pos}")
-    array = np.frombuffer(view[pos:pos + nbytes], dtype=dtype).reshape(shape)
+    array = np.frombuffer(view[pos:pos + nbytes], dtype=dtype)
+    try:
+        array = array.reshape(shape)
+    except ValueError as exc:  # too many axes, or an empty array too big
+        raise FormatError(f"unrepresentable tensor extents: {exc}") from None
     # native-endian writable copy
     return array.astype(dtype.newbyteorder("="), copy=True), pos + nbytes
 

@@ -15,7 +15,6 @@ The attention step runs the block's kind through
 count) or one of the two additive mechanisms (linear in token count).
 """
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from . import attention
 from .blocks import FfnParams
 from .errors import ParamError
-from .instrument import stage
+from .instrument import record_shape, stage
 from .tensor import (LnParams, check_tensor, dwconv3d, gelu, layer_norm,
                      matmul)
 
@@ -70,29 +69,23 @@ def row_ffn(x, p, ln):
     return x + matmul(hidden, p.w2) + p.b2
 
 
-def global_uniblock_forward(field, p, heads, stage_prefix=None, trace=None):
-    """Reduce a token field to one (1, d) clip vector."""
+def global_uniblock_forward(field, p, heads, stage_prefix="global"):
+    """Reduce a token field to one (1, d) clip vector.
 
-    def unit_stage(name):
-        if stage_prefix is None:
-            return nullcontext()
-        return stage(f"{stage_prefix}.{name}")
-
-    with unit_stage("dpe"):
+    Each sub-unit's work is counted under ``{stage_prefix}.dpe|attn|ffn``;
+    intermediate shapes go to the active trace as ``global.*``.
+    """
+    with stage(f"{stage_prefix}.dpe"):
         field = dpe(field, p.dpe_kernel)
-    if trace is not None:
-        trace["global.dpe"] = field.data.shape
-    with unit_stage("attn"):
+    record_shape("global.dpe", field.data)
+    with stage(f"{stage_prefix}.attn"):
         tokens = layer_norm(field.flat(), p.ln_tokens.gamma,
                             p.ln_tokens.beta)
-        if trace is not None:
-            trace["global.tokens"] = tokens.shape
+        record_shape("global.tokens", tokens)
         pooled = attention.attend(p.attn_kind, tokens, p.attn, heads,
                                   pool=True)
-    if trace is not None:
-        trace["global.pooled"] = pooled.shape
-    with unit_stage("ffn"):
+    record_shape("global.pooled", pooled)
+    with stage(f"{stage_prefix}.ffn"):
         refined = row_ffn(pooled, p.ffn, p.ln_ffn)
-    if trace is not None:
-        trace["global.out"] = refined.shape
+    record_shape("global.out", refined)
     return refined

@@ -1,6 +1,6 @@
-"""Execution instrumentation: multiply-add counters and buffer liveness meters.
+"""Execution instrumentation: work counters, liveness meters, shape traces.
 
-Two independent facilities, both installed through context variables so the
+Three independent sinks, each installed through a context variable so the
 numeric kernels stay free of plumbing arguments:
 
 * ``MacCounter`` accumulates fused multiply-add counts into named stages.
@@ -8,6 +8,10 @@ numeric kernels stay free of plumbing arguments:
   call is a no-op.  One multiply-add pair counts as one unit.
 * ``MemoryMeter`` tracks live intermediate buffers through explicit
   alloc/free events and records the high-water mark in elements.
+* A shape trace is a plain dict that :func:`record_shape` fills with the
+  extents of named intermediates, the hook for shape verification.
+
+Every reporting call is a no-op while its sink is not installed.
 
 Counters attribute work to the innermost active stage.  Work reported with no
 stage open lands in the ``"unattributed"`` bucket, which verification passes
@@ -21,6 +25,16 @@ UNATTRIBUTED = "unattributed"
 
 _active_counter: ContextVar = ContextVar("cuenet_mac_counter", default=None)
 _active_meter: ContextVar = ContextVar("cuenet_memory_meter", default=None)
+_active_trace: ContextVar = ContextVar("cuenet_shape_trace", default=None)
+
+
+@contextmanager
+def _installed(var, sink):
+    token = var.set(sink)
+    try:
+        yield sink
+    finally:
+        var.reset(token)
 
 
 class MacCounter:
@@ -50,14 +64,9 @@ class MacCounter:
         return sum(self.stages.values())
 
 
-@contextmanager
 def counting(counter):
     """Install ``counter`` as the active multiply-add sink for the block."""
-    token = _active_counter.set(counter)
-    try:
-        yield counter
-    finally:
-        _active_counter.reset(token)
+    return _installed(_active_counter, counter)
 
 
 def add_macs(macs):
@@ -109,14 +118,9 @@ class MemoryMeter:
         self.live -= self._sizes.pop(name)
 
 
-@contextmanager
 def metering(meter):
     """Install ``meter`` as the active buffer-liveness sink for the block."""
-    token = _active_meter.set(meter)
-    try:
-        yield meter
-    finally:
-        _active_meter.reset(token)
+    return _installed(_active_meter, meter)
 
 
 def meter_alloc(name, elements):
@@ -129,3 +133,15 @@ def meter_free(name):
     meter = _active_meter.get()
     if meter is not None:
         meter.free(name)
+
+
+def tracing(trace):
+    """Install the dict ``trace`` as the active shape sink for the block."""
+    return _installed(_active_trace, trace)
+
+
+def record_shape(name, array):
+    """Record ``array``'s extents as ``name`` in the active trace, if any."""
+    trace = _active_trace.get()
+    if trace is not None:
+        trace[name] = array.shape

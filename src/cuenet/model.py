@@ -11,8 +11,9 @@ padded so the frame count survives; spatial stride equal to the patch edge),
 a stride-2 temporal selection, and a learnable class token prepended to each
 frame's spatial tokens.
 
-``forward`` accepts an optional ``trace`` dict and records the exact shape
-of every intermediate, which doubles as the hook for shape verification.
+``forward`` installs its optional ``trace`` dict as the shape sink of
+:mod:`cuenet.instrument`, where every stage records the exact shape of its
+intermediate; this doubles as the hook for shape verification.
 """
 
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from .config import PATCH, TEMPORAL_KERNEL
 from .crop import apply_crop, compute_crop_box
 from .errors import ConfigError
 from .global_block import GlobalBlockParams, global_uniblock_forward
-from .instrument import stage
+from .instrument import record_shape, stage, tracing
 from .tensor import LnParams, check_tensor, conv3d, dtype_of
 from .weights import validate_container
 
@@ -158,27 +159,23 @@ def backbone_forward(video, params, cfg):
     return TokenField(data=data, grid=(cfg.grid_h, cfg.grid_w))
 
 
-def network_forward(video, params, cfg, trace=None):
+def network_forward(video, params, cfg):
     """Backbone through logits, without preprocessing."""
     with stage("backbone"):
         field = backbone_forward(video, params, cfg)
-    if trace is not None:
-        trace["backbone"] = field.data.shape
+    record_shape("backbone", field.data)
     for i, block in enumerate(params.local_blocks):
         field = local_uniblock_forward(field, block, cfg.heads,
                                        stage_prefix=f"local{i}")
-        if trace is not None:
-            trace[f"local{i}"] = field.data.shape
-    clip_vec = global_uniblock_forward(field, params.global_block, cfg.heads,
-                                       stage_prefix="global", trace=trace)
+        record_shape(f"local{i}", field.data)
+    clip_vec = global_uniblock_forward(field, params.global_block, cfg.heads)
     with stage("fusion"):
         local_summary = fusion_ops.extract_class_token(field)
         fused = fusion_ops.fuse(clip_vec, local_summary, params.fusion.beta)
         logits = fusion_ops.classify(fused, params.fusion)
-    if trace is not None:
-        trace["local_summary"] = local_summary.shape
-        trace["fused"] = fused.shape
-        trace["logits"] = logits.shape
+    record_shape("local_summary", local_summary)
+    record_shape("fused", fused)
+    record_shape("logits", logits)
     return logits
 
 
@@ -188,6 +185,7 @@ def forward(video, detections, container, cfg, trace=None):
     ``detections`` may be None to skip the crop policy entirely.  The clip's
     frame count, channel count, and precision must match the configuration;
     spatial extents are free because the resampler normalizes them.
+    ``trace`` is the shape sink for the call (None records nothing).
     """
     check_tensor(video, rank=4, name="video")
     params = bind_parameters(container, cfg)
@@ -200,17 +198,14 @@ def forward(video, detections, container, cfg, trace=None):
     if video.dtype != dtype_of(cfg.precision):
         raise ConfigError(f"clip dtype {video.dtype} does not match "
                           f"configured precision {cfg.precision}")
-    if trace is not None:
-        trace["input"] = video.shape
-    if detections is not None:
-        decision = compute_crop_box(detections)
-        video = apply_crop(video, decision)
-    if trace is not None:
-        trace["cropped"] = video.shape
-    video = resize_bilinear(video, cfg.height, cfg.width)
-    if trace is not None:
-        trace["resized"] = video.shape
-    return network_forward(video, params, cfg, trace=trace)
+    with tracing(trace):
+        record_shape("input", video)
+        if detections is not None:
+            video = apply_crop(video, compute_crop_box(detections))
+        record_shape("cropped", video)
+        video = resize_bilinear(video, cfg.height, cfg.width)
+        record_shape("resized", video)
+        return network_forward(video, params, cfg)
 
 
 def expected_trace(cfg):

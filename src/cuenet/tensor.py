@@ -67,37 +67,6 @@ def _check_same_precision(a, b, op):
 
 
 # ---------------------------------------------------------------------------
-# index arithmetic
-# ---------------------------------------------------------------------------
-
-def flat_index(shape, index):
-    """Row-major flat offset of a multi-index."""
-    if len(index) != len(shape):
-        raise ShapeError(f"index rank {len(index)} does not match shape rank "
-                         f"{len(shape)}")
-    flat = 0
-    for extent, i in zip(shape, index):
-        if not 0 <= i < extent:
-            raise ShapeError(f"index {index} out of bounds for shape {shape}")
-        flat = flat * extent + i
-    return flat
-
-
-def unflat_index(shape, flat):
-    """Inverse of :func:`flat_index`."""
-    total = 1
-    for extent in shape:
-        total *= extent
-    if not 0 <= flat < total:
-        raise ShapeError(f"flat offset {flat} out of bounds for shape {shape}")
-    index = []
-    for extent in reversed(shape):
-        index.append(flat % extent)
-        flat //= extent
-    return tuple(reversed(index))
-
-
-# ---------------------------------------------------------------------------
 # counted operations
 # ---------------------------------------------------------------------------
 
@@ -154,12 +123,14 @@ def conv3d(x, kernel, stride, padding=(0, 0, 0)):
     extents follow the floor convention ``(in + 2p - k)//s + 1``.  Reports
     ``out_elements * kt*kh*kw*c_in`` multiply-adds.
 
-    Each padded frame's strided spatial windows are gathered once as rows
-    of ``kh*kw*c_in`` values, so every temporal tap is one matrix product
-    of those rows with that tap's ``(kh*kw*c_in, c_out)`` kernel slice; the
-    output is the sum of the ``kt`` products.  When the spatial stride
-    equals the kernel extent the rows are the non-overlapping patches, and
-    the convolution is a patch-embedding projection.
+    Each frame's strided spatial windows are gathered once, straight into a
+    buffer of rows of ``kh*kw*c_in`` values whose ``pt`` leading and
+    trailing frames stay zero as the temporal padding, so the clip is copied
+    once (twice with spatial padding).  Every temporal tap is then one
+    matrix product of those rows with that tap's ``(kh*kw*c_in, c_out)``
+    kernel slice; the output is the sum of the ``kt`` products.  When the
+    spatial stride equals the kernel extent the rows are the non-overlapping
+    patches, and the convolution is a patch-embedding projection.
     """
     check_tensor(x, rank=4, name="conv3d input")
     check_tensor(kernel, rank=5, name="conv3d kernel")
@@ -175,16 +146,20 @@ def conv3d(x, kernel, stride, padding=(0, 0, 0)):
         raise ShapeError(f"conv3d kernel expects {c_in} input channels, "
                          f"input has {x.shape[3]}")
     pt, ph, pw = (int(p) for p in padding)
-    padded = np.pad(x, ((pt, pt), (ph, ph), (pw, pw), (0, 0)))
-    if kt > padded.shape[0] or kh > padded.shape[1] or kw > padded.shape[2]:
+    t, h, w = x.shape[:3]
+    t_pad = t + 2 * pt
+    if kt > t_pad or kh > h + 2 * ph or kw > w + 2 * pw:
         raise ShapeError(f"conv3d kernel {kernel.shape[:3]} exceeds padded "
-                         f"input {padded.shape[:3]}")
+                         f"input {(t_pad, h + 2 * ph, w + 2 * pw)}")
     st, sh, sw = (int(s) for s in stride)
-    windows = sliding_window_view(padded, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]
-    t_pad, h_out, w_out = windows.shape[:3]
-    # (t, h, w, c, i, j) -> rows ordered (i, j, c) like the kernel's taps
-    rows = windows.transpose(0, 1, 2, 4, 5, 3).reshape(
-        t_pad, h_out * w_out, kh * kw * c_in)
+    if ph or pw:
+        x = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    windows = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]
+    h_out, w_out = windows.shape[1:3]
+    # windows fill the middle frames in (i, j, c) order, like the kernel taps
+    rows = np.zeros((t_pad, h_out * w_out, kh * kw * c_in), dtype=x.dtype)
+    rows[pt:pt + t].reshape(t, h_out, w_out, kh, kw, c_in)[...] = \
+        windows.transpose(0, 1, 2, 4, 5, 3)
     taps = kernel.reshape(kt, kh * kw * c_in, c_out)
     t_out = (t_pad - kt) // st + 1
     span = (t_out - 1) * st + 1

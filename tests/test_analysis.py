@@ -190,13 +190,6 @@ class TestMemoryEstimate:
         with pytest.raises(ParamError):
             analysis.estimate_memory("windowed", 4, 4)
 
-    def test_report_table(self):
-        text = analysis.format_memory_report((ATTENTION_MEAA,), (2, 4), 8)
-        lines = text.splitlines()
-        assert lines[0] == "# memory report v1"
-        assert "kind,n,elements,bytes" in lines
-        assert f"meaa,2,{2 * 2 * 8 + 16},{(2 * 2 * 8 + 16) * 8}" in lines
-
 
 class TestBench:
     def test_small_sweep_shape_and_determinism(self):

@@ -103,6 +103,19 @@ class TestCrop:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
 
+    def test_corner_too_large_for_float_exits_2(self, workdir, tmp_path):
+        path = tmp_path / "huge.jsonl"
+        corner = "1" + "0" * 400
+        path.write_text("\n".join(
+            '{"frame": %d, "boxes": [[0, 0, %s, 1]]}' % (t, corner)
+            for t in range(8)) + "\n")
+        proc = run_cli("crop", "--video", str(workdir / "clip.ctf"),
+                       "--detections", str(path),
+                       "--out", str(tmp_path / "c.ctf"))
+        assert proc.returncode == 2
+        assert "line 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestInfer:
     def infer(self, workdir, *extra):

@@ -95,6 +95,18 @@ class TestParsing:
             lines({"frame": 0, "boxes": []}).encode(), height=10, width=10)
         assert seq.frame_count == 1
 
+    def test_corner_too_large_for_float_reports_line(self):
+        huge = 10 ** 400
+        text = lines({"frame": 0, "boxes": []},
+                     {"frame": 1, "boxes": [[0, 0, huge, 1]]})
+        with pytest.raises(FormatError, match="line 2"):
+            crop.parse_detections(text, height=100, width=100)
+
+    def test_integer_past_digit_limit_reports_line(self):
+        text = '{"frame": 0, "boxes": [[0, 0, 1%s, 1]]}' % ("0" * 5000)
+        with pytest.raises(FormatError, match="line 1"):
+            crop.parse_detections(text, height=100, width=100)
+
     def test_undecodable_input_rejected(self):
         with pytest.raises(FormatError, match="UTF-8"):
             crop.parse_detections(b"\xff", height=4, width=4)
@@ -288,12 +300,3 @@ class TestProperties:
         assert (y1b - y0b) <= (y1 - y0)
         assert (x1b - x0b) <= (x1 - x0)
 
-
-class TestAdapter:
-    def test_replay_round_trip(self):
-        frames = [[(1.0, 2.0, 3.0, 4.0)], [], [(0.0, 0.0, 5.0, 5.0)]]
-        seq = sequence_from(frames, height=8, width=8)
-        video = np.zeros((3, 8, 8, 1))
-        replayed = crop.run_detector(video, crop.ReplayDetector(seq))
-        assert replayed.frames == seq.frames
-        assert crop.compute_crop_box(replayed) == crop.compute_crop_box(seq)

@@ -7,7 +7,7 @@ from cuenet import attention, blocks, fusion, global_block
 from cuenet.blocks import ATTENTION_KINDS, ATTENTION_MEAA, ATTENTION_SELF
 from cuenet.errors import ParamError, ShapeError
 from cuenet.global_block import GlobalBlockParams
-from cuenet.instrument import UNATTRIBUTED, MacCounter, counting
+from cuenet.instrument import UNATTRIBUTED, MacCounter, counting, tracing
 from cuenet.tensor import gelu, layer_norm, mean_rows
 
 from test_blocks import random_attention, random_ffn, random_field, random_ln
@@ -141,7 +141,8 @@ class TestGlobalBlock:
         field = random_field(rng, frames=3, gh=2, gw=2, d=d)
         p = random_global(rng, d, ATTENTION_MEAA)
         trace = {}
-        global_block.global_uniblock_forward(field, p, heads=2, trace=trace)
+        with tracing(trace):
+            global_block.global_uniblock_forward(field, p, heads=2)
         assert trace == {"global.dpe": (3, 5, d),
                          "global.tokens": (15, d),
                          "global.pooled": (1, d),

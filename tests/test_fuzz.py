@@ -1,0 +1,121 @@
+"""Fuzzed input parsers: only the documented input errors escape.
+
+Tensor files, weight containers and detection streams arrive from outside
+the package, so every malformed byte string must surface as ``FormatError``
+(or ``ConfigError`` for a precision request the container cannot meet),
+and the ``crop`` command must exit 0 or 2 on any detection text.
+"""
+
+import json
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cuenet import cli, ctf, weights
+from cuenet.crop import parse_detections
+from cuenet.errors import ConfigError, FormatError
+
+DOCUMENTED = (FormatError, ConfigError)
+FUZZ = settings(max_examples=200, deadline=None)
+
+
+def mutated(valid):
+    """Byte strings near ``valid``: overwritten bytes, a cut, a tail."""
+    edits = st.lists(st.tuples(st.integers(0, len(valid) - 1),
+                               st.integers(0, 255)), max_size=6)
+    return st.builds(_apply, st.just(valid), edits,
+                     st.integers(0, len(valid)), st.binary(max_size=16))
+
+
+def _apply(valid, edits, cut, tail):
+    data = bytearray(valid)
+    for pos, byte in edits:
+        data[pos] = byte
+    return bytes(data[:cut]) + tail
+
+
+def _ctf_header(flag, extents):
+    return (ctf.MAGIC + struct.pack("<BB", flag, len(extents))
+            + struct.pack(f"<{len(extents)}I", *extents))
+
+
+# headers with any flag, up to 80 axes, zero and huge extents
+ctf_headers = st.builds(
+    _ctf_header, st.sampled_from((0, 1, 2, 255)),
+    st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2 ** 32 - 1)),
+             max_size=80))
+ctf_blobs = st.one_of(
+    st.binary(max_size=64),
+    st.builds(bytes.__add__, ctf_headers, st.binary(max_size=32)),
+    mutated(ctf.tensor_bytes(np.arange(6, dtype=np.float32).reshape(2, 3))))
+
+_CONTAINER = weights.container_bytes(weights.WeightContainer(
+    entries={"a.w": np.ones((2, 3), np.float32),
+             "b": np.zeros((4,), np.float32)},
+    precision="single"))
+
+# st.floats() includes nan and the infinities; integers past 2**1024 have
+# no float value at all
+corners = st.one_of(st.integers(), st.integers(min_value=2 ** 1024),
+                    st.floats())
+records = st.fixed_dictionaries({
+    "frame": st.one_of(st.integers(0, 3), st.integers()),
+    "boxes": st.lists(st.lists(corners, min_size=3, max_size=5),
+                      max_size=3)})
+detection_lines = st.lists(
+    st.one_of(records.map(json.dumps), st.text(max_size=12)),
+    min_size=0, max_size=5).map("\n".join)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    ctf.write_tensor(root / "clip.ctf", np.zeros((2, 6, 8, 3)))
+    return root
+
+
+@FUZZ
+@given(ctf_blobs)
+def test_tensor_parser_raises_only_format_error(data):
+    try:
+        array, end = ctf.tensor_from_bytes(data)
+    except FormatError:
+        return
+    assert end <= len(data)
+    assert array.dtype in (np.float32, np.float64)
+
+
+@FUZZ
+@given(st.one_of(st.binary(max_size=64), mutated(_CONTAINER)),
+       st.sampled_from((None, "single", "double")), st.booleans())
+def test_weight_loader_raises_only_documented_errors(files, data, precision,
+                                                     allow_widen):
+    path = files / "fuzz.cwc"
+    path.write_bytes(data)
+    try:
+        weights.load_weights(path, precision, allow_widen)
+    except DOCUMENTED:
+        pass
+
+
+@FUZZ
+@given(detection_lines, st.integers(1, 64), st.integers(1, 64))
+def test_detection_parser_raises_only_format_error(text, height, width):
+    try:
+        parse_detections(text, height, width)
+    except FormatError:
+        pass
+
+
+@FUZZ
+@given(detection_lines)
+def test_crop_command_exits_0_or_2(files, text):
+    detections = files / "det.jsonl"
+    detections.write_text(text)
+    code = cli.main(["crop", "--video", str(files / "clip.ctf"),
+                     "--detections", str(detections),
+                     "--out", str(files / "out.ctf")])
+    assert code in (0, 2)

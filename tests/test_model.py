@@ -10,9 +10,10 @@ from cuenet.blocks import (ATTENTION_EAA, ATTENTION_MEAA, ATTENTION_SELF,
                            local_uniblock_forward)
 from cuenet.config import desk_preset
 from cuenet.crop import parse_detections
-from cuenet.errors import ConfigError
+from cuenet.errors import BoundsError, ConfigError
 from cuenet.global_block import global_uniblock_forward
-from cuenet.instrument import UNATTRIBUTED, MacCounter, counting
+from cuenet.instrument import (UNATTRIBUTED, MacCounter, counting,
+                               record_shape, tracing)
 from cuenet.tensor import conv3d
 
 from util import assert_close, resize_oracle
@@ -217,6 +218,17 @@ class TestNetworkForward:
             "global.attn", "global.ffn", "fusion"}
         assert counter.stages.get(UNATTRIBUTED, 0) == 0
 
+    def test_tracing_records_network_shapes(self):
+        rng = np.random.default_rng(23)
+        cfg = desk_preset()
+        params = model.bind_parameters(weights.init_weights(cfg), cfg)
+        trace = {}
+        with tracing(trace):
+            model.network_forward(random_clip(rng, cfg), params, cfg)
+        expected = model.expected_trace(cfg)
+        del expected["resized"]
+        assert trace == expected
+
     def test_deterministic_repeat(self):
         rng = np.random.default_rng(22)
         cfg = small_config()
@@ -283,6 +295,29 @@ class TestForward:
         without = model.forward(video, None, container, cfg)
         assert trace["cropped"] == trace["input"]
         assert np.array_equal(with_boxes, without)
+
+    @pytest.mark.parametrize("failure", ("dtype", "crop bounds"))
+    def test_failed_forward_leaves_no_trace_installed(self, failure):
+        rng = np.random.default_rng(35)
+        cfg = small_config()
+        container = weights.init_weights(cfg)
+        video, detections = random_clip(rng, cfg), None
+        if failure == "dtype":
+            video = video.astype(np.float32)
+            error = ConfigError
+        else:
+            # boxes parsed against a larger frame overrun the clip
+            detections = parse_detections(
+                "\n".join('{"frame": %d, "boxes": [[1, 1, 9, 9], '
+                          '[20, 20, 60, 60]]}' % t for t in range(cfg.frames)),
+                height=64, width=64)
+            error = BoundsError
+        trace = {}
+        with pytest.raises(error):
+            model.forward(video, detections, container, cfg, trace=trace)
+        before = dict(trace)
+        record_shape("after", video)
+        assert trace == before
 
     def test_input_guards(self):
         rng = np.random.default_rng(34)
