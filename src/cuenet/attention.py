@@ -1,4 +1,4 @@
-"""Token-mixing attention mechanisms over flat (n, d) token matrices.
+"""Token-mixing attention over (n, d) tokens or (t, n, d) frame stacks.
 
 Three interchangeable mechanisms, named by the ``ATTENTION_*`` kinds:
 
@@ -16,6 +16,13 @@ Three interchangeable mechanisms, named by the ``ATTENTION_*`` kinds:
 it returns one (1, d) vector (column mean of the transformed rows);
 without, the (n, d) rows, so any mechanism can stand in for a
 shape-preserving token mixer inside a block stack.
+
+:func:`mhsa` and :func:`eaa_original` also take a (t, n, d) stack of t
+frames and return (t, n, d) rows, each frame attending only within itself.
+The per-token projections run once over all t*n rows and the per-frame
+products are one :func:`cuenet.tensor.bmm` over frames, so the stack does
+exactly t times the work of one frame and gives the same values as t
+separate calls.
 
 The additive kernels and :func:`flat_self_attention` announce intermediate
 buffer lifetimes to the active memory meter (see :mod:`cuenet.instrument`)
@@ -39,8 +46,8 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .instrument import meter_alloc, meter_free
-from .tensor import (LnParams, check_tensor, layer_norm, matmul, mean_rows,
-                     mul, scale, softmax_rows)
+from .tensor import (LnParams, bmm, check_tensor, layer_norm, matmul,
+                     mean_rows, mul, scale, softmax_rows)
 
 ATTENTION_SELF = "self_attention"
 ATTENTION_MEAA = "meaa"
@@ -95,6 +102,8 @@ def attend(kind, tokens, p, heads, pool):
     ``p`` is the kind's parameter group: :class:`MhsaParams` for
     self-attention, :class:`AdditiveParams` otherwise.  ``heads`` applies to
     self-attention only.  Returns (1, d) with ``pool``, else (n, d) rows.
+    Without ``pool``, self-attention and the original additive kind also
+    take a (t, n, d) stack of frames and return (t, n, d).
     """
     check_kind(kind)
     if kind == ATTENTION_SELF:
@@ -106,12 +115,23 @@ def attend(kind, tokens, p, heads, pool):
     return eaa_original(tokens, p, pool)
 
 
-def _check_tokens(x, name):
-    check_tensor(x, rank=2, name=name)
-    if x.shape[0] < 1:
+def _check_tokens(x, name, frames=False):
+    """Validate (n, d) tokens, or with ``frames`` also a (t, n, d) stack."""
+    if not frames:
+        check_tensor(x, rank=2, name=name)
+    elif check_tensor(x, name=name).ndim not in (2, 3):
+        raise ShapeError(f"{name} must have rank 2 or 3, got shape "
+                         f"{x.shape}")
+    if min(x.shape[:-1]) < 1:
         raise ShapeError(f"{name} needs at least one token row, got shape "
                          f"{x.shape}")
     return x
+
+
+def _frame_stack(x):
+    """(n, d) or (t, n, d) tokens as a (t, n, d) stack and its t*n rows."""
+    stack = x.reshape((-1,) + x.shape[-2:])
+    return stack, stack.reshape(-1, x.shape[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -251,28 +271,37 @@ def eaa_original(tokens, p, pool=True):
     Every token projects to a query row; softmax-normalized per-row scores
     weight the rows into one global query, which gates the keys.  The two
     projections carry a per-row query residual before the mean pool, which
-    is skipped unless ``pool`` is true.
+    is skipped unless ``pool`` is true.  A (t, n, d) stack without ``pool``
+    gives (t, n, d) rows, one global query per frame.
     """
-    x = _check_tokens(tokens, "additive attention tokens")
-    n, d = x.shape
-    q = matmul(x, p.wq)
-    meter_alloc("q", n * d)
-    k = matmul(x, p.wk)
-    meter_alloc("k", n * d)
-    raw = matmul(q, p.w_a.reshape(d, 1))
+    x = _check_tokens(tokens, "additive attention tokens", frames=True)
+    if pool and x.ndim == 3:
+        raise ShapeError(f"pooled additive attention takes (n, d) tokens, "
+                         f"got shape {x.shape}")
+    stack, rows = _frame_stack(x)
+    t, n, d = stack.shape
+    q = matmul(rows, p.wq)
+    meter_alloc("q", q.size)
+    k = matmul(rows, p.wk)
+    meter_alloc("k", k.size)
+    # scored per frame: one gemv over all t*n rows rounds some rows unlike
+    # the (n, d) call does
+    w_a = np.broadcast_to(p.w_a.reshape(1, d, 1), (t, d, 1))
+    raw = bmm(q.reshape(t, n, d), w_a)
     scaled = scale(raw, 1.0 / math.sqrt(d))
-    meter_alloc("scores", n)
-    weights = softmax_rows(scaled.reshape(1, n))
-    meter_alloc("weights", n)
+    meter_alloc("scores", scaled.size)
+    weights = softmax_rows(scaled.reshape(t, n))
+    meter_alloc("weights", weights.size)
     meter_free("scores")
-    q_global = matmul(weights, q)
-    fused = mul(k, q_global)
-    meter_alloc("q_global", d)
-    meter_alloc("fused", n * d)
+    q_global = bmm(weights.reshape(t, 1, n), q.reshape(t, n, d))
+    fused = mul(k.reshape(t, n, d), q_global).reshape(-1, d)
+    meter_alloc("q_global", q_global.size)
+    meter_alloc("fused", fused.size)
     meter_free("weights")
     meter_free("k")
     meter_free("q_global")
-    return _project_rows(fused, q, "q", p, pool)
+    out = _project_rows(fused, q, "q", p, pool)
+    return out if pool else out.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -280,23 +309,31 @@ def eaa_original(tokens, p, pool=True):
 # ---------------------------------------------------------------------------
 
 def mhsa(tokens, p, heads):
-    """Multi-head softmax self-attention over (n, d) tokens, fused output."""
-    x = _check_tokens(tokens, "self-attention tokens")
-    n, d = x.shape
+    """Multi-head softmax self-attention, fused output of the input's shape.
+
+    ``tokens`` is (n, d), or a (t, n, d) stack whose frames each attend only
+    within themselves.  Each head's scores and context are one batched
+    product over frames.  Heads stay a loop, so the softmax works on one
+    head's (t*n, n) scores at a time: one softmax over every head's scores
+    was slower at 400 tokens, where its temporaries no longer fit in cache.
+    """
+    x = _check_tokens(tokens, "self-attention tokens", frames=True)
+    stack, rows = _frame_stack(x)
+    t, n, d = stack.shape
     if heads < 1 or d % heads != 0:
         raise ShapeError(f"head count {heads} must divide width {d}")
     dh = d // heads
-    q = matmul(x, p.wq)
-    k = matmul(x, p.wk)
-    v = matmul(x, p.wv)
-    q = scale(q, 1.0 / math.sqrt(dh))
-    ctx = np.empty_like(x)
+    q = matmul(rows, p.wq)
+    k = matmul(rows, p.wk).reshape(t, n, d)
+    v = matmul(rows, p.wv).reshape(t, n, d)
+    q = scale(q, 1.0 / math.sqrt(dh)).reshape(t, n, d)
+    ctx = np.empty_like(stack)
     for h in range(heads):
         lo, hi = h * dh, (h + 1) * dh
-        scores = matmul(q[:, lo:hi], k[:, lo:hi].T)
-        weights = softmax_rows(scores)
-        ctx[:, lo:hi] = matmul(weights, v[:, lo:hi])
-    return matmul(ctx, p.fuse)
+        scores = bmm(q[:, :, lo:hi], k[:, :, lo:hi].transpose(0, 2, 1))
+        weights = softmax_rows(scores.reshape(-1, n)).reshape(t, n, n)
+        ctx[:, :, lo:hi] = bmm(weights, v[:, :, lo:hi])
+    return matmul(ctx.reshape(-1, d), p.fuse).reshape(x.shape)
 
 
 def flat_self_attention(tokens, wq, wk, wv):

@@ -133,7 +133,8 @@ def parse_detections(source, height, width):
             raise FormatError("expected object with 'frame' and 'boxes'",
                               line=lineno)
         index = record["frame"]
-        if not isinstance(index, int) or index < 0:
+        if not isinstance(index, int) or isinstance(index, bool) \
+                or index < 0:
             raise FormatError(f"bad frame index {index!r}", line=lineno)
         if index in by_index:
             raise FormatError(f"duplicate frame index {index}", line=lineno)
@@ -145,6 +146,8 @@ def parse_detections(source, height, width):
                 raise FormatError(f"box must be [x_min, y_min, x_max, y_max], "
                                   f"got {entry!r}", line=lineno)
             try:
+                if any(isinstance(v, bool) for v in entry):
+                    raise TypeError("boolean box corner")
                 corners = [float(v) for v in entry]
             except (TypeError, ValueError, OverflowError):
                 raise FormatError(f"non-numeric box corner in {entry!r}",

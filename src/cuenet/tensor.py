@@ -8,7 +8,8 @@ operations that perform multiply-add work report it through
 shapes actually run.
 
 Counting convention: one fused multiply-add pair is one unit.  A matrix
-product of an m-by-k by a k-by-n operand therefore reports ``m*k*n``.
+product of an m-by-k by a k-by-n operand therefore reports ``m*k*n``, and
+a batch of b such products ``b*m*k*n``.
 Comparisons, exponentials, normalization statistics, and plain additions
 report nothing; this exclusion is deliberate and shared with the analytic
 cost model in :mod:`cuenet.analysis`.
@@ -80,6 +81,22 @@ def matmul(a, b):
     if k != k2:
         raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
     add_macs(m * k * n)
+    return a @ b
+
+
+def bmm(a, b):
+    """Batched product of 3-d operands, one ``m*k`` by ``k*n`` product per
+    leading index; reports ``b*m*k*n`` multiply-adds."""
+    check_tensor(a, rank=3, name="bmm left operand")
+    check_tensor(b, rank=3, name="bmm right operand")
+    _check_same_precision(a, b, "bmm")
+    batch, m, k = a.shape
+    batch2, k2, n = b.shape
+    if batch != batch2:
+        raise ShapeError(f"bmm batch extents differ: {a.shape} vs {b.shape}")
+    if k != k2:
+        raise ShapeError(f"bmm inner extents differ: {a.shape} vs {b.shape}")
+    add_macs(batch * m * k * n)
     return a @ b
 
 

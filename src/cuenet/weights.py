@@ -230,7 +230,8 @@ def load_weights(path, precision=None, allow_widen=False):
 
     With ``precision`` set, a stored precision that differs is an error
     unless it is single and ``allow_widen`` permits the exact single-to-
-    double promotion.
+    double promotion.  An entry holding NaN or an infinity is a format
+    error that names the first such entry.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -283,6 +284,8 @@ def load_weights(path, precision=None, allow_widen=False):
         if precision_of(array) != entry_precision:
             raise FormatError(f"weight {name!r}: payload precision disagrees "
                               f"with manifest {entry_precision}")
+        if not np.isfinite(array).all():
+            raise FormatError(f"weight {name!r} holds a non-finite value")
         if stored_precision is None:
             stored_precision = entry_precision
         elif stored_precision != entry_precision:

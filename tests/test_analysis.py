@@ -115,6 +115,12 @@ class TestVerifyFlops:
             kind))
         assert verification.ok, verification.mismatches
 
+    @pytest.mark.parametrize("kind", ATTENTION_KINDS)
+    def test_local_kinds_match_instrumented_run(self, kind):
+        verification = analysis.verify_flops(desk_preset().with_attention(
+            kind, "local"))
+        assert verification.ok, verification.mismatches
+
     def test_additive_local_blocks_match(self):
         cfg = desk_preset().with_attention(ATTENTION_MEAA, "everywhere")
         assert analysis.verify_flops(cfg).ok

@@ -348,6 +348,56 @@ class TestMhsa:
         assert counter.total == 4 * n * d * d + n * d + 2 * n * n * d + d
 
 
+class TestFrameStacks:
+    """A (t, n, d) stack is t frames that each attend only within
+    themselves: the same values and t times the work of t separate calls."""
+
+    KINDS = (attention.ATTENTION_SELF, attention.ATTENTION_EAA)
+
+    def instance(self, kind, t=3, n=17, d=8, seed=160):
+        # n = 17 leaves a tail past any 4- or 8-row BLAS blocking
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((t, n, d))
+        if kind == attention.ATTENTION_SELF:
+            return x, random_mhsa_params(rng, d)
+        return x, random_additive_params(rng, d, with_q=False)
+
+    @staticmethod
+    def mix(kind, tokens, p):
+        if kind == attention.ATTENTION_SELF:
+            return attention.mhsa(tokens, p, heads=2)
+        return attention.eaa_original(tokens, p, pool=False)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_stack_equals_per_frame_calls(self, kind):
+        x, p = self.instance(kind)
+        got = self.mix(kind, x, p)
+        want = np.stack([self.mix(kind, frame, p) for frame in x])
+        assert got.shape == x.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_stack_counts_frames_times_frame_work(self, kind):
+        x, p = self.instance(kind)
+        stacked, single = MacCounter(), MacCounter()
+        with counting(stacked):
+            self.mix(kind, x, p)
+        with counting(single):
+            self.mix(kind, x[0], p)
+        assert stacked.total == len(x) * single.total
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rank_4_tokens_rejected(self, kind):
+        x, p = self.instance(kind)
+        with pytest.raises(ShapeError, match="rank"):
+            self.mix(kind, x[None], p)
+
+    def test_pooled_stack_rejected(self):
+        x, p = self.instance(attention.ATTENTION_EAA)
+        with pytest.raises(ShapeError, match="pooled"):
+            attention.eaa_original(x, p, pool=True)
+
+
 class TestBufferSchedules:
     def meter_for(self, run):
         meter = MemoryMeter()

@@ -117,6 +117,19 @@ class TestCrop:
         assert "Traceback" not in proc.stderr
 
 
+    def test_boolean_box_corner_exits_2(self, workdir, tmp_path):
+        path = tmp_path / "bool.jsonl"
+        path.write_text("\n".join(
+            '{"frame": %d, "boxes": [[0, 0, true, 1]]}' % t
+            for t in range(8)) + "\n")
+        proc = run_cli("crop", "--video", str(workdir / "clip.ctf"),
+                       "--detections", str(path),
+                       "--out", str(tmp_path / "c.ctf"))
+        assert proc.returncode == 2
+        assert "line 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestInfer:
     def infer(self, workdir, *extra):
         return run_cli("infer", "--video", str(workdir / "clip.ctf"),
@@ -240,6 +253,34 @@ class TestInfer:
         assert proc.returncode == 2
         assert "UTF-8" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_boolean_frame_index_exits_2(self, workdir, tmp_path):
+        bad = tmp_path / "bool.jsonl"
+        # without the check, true is read as frame 1
+        bad.write_text("\n".join(
+            '{"frame": %s, "boxes": []}' % ("true" if t == 1 else t)
+            for t in range(8)) + "\n")
+        proc = run_cli("infer", "--video", str(workdir / "clip.ctf"),
+                       "--detections", str(bad),
+                       "--weights", str(workdir / "desk.cwc"))
+        assert proc.returncode == 2
+        assert "line 2" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_non_finite_weight_exits_2(self, workdir, tmp_path):
+        container = weights.load_weights(workdir / "desk.cwc")
+        name = sorted(container.entries)[0]
+        container.entries[name] = container.entries[name].copy()
+        container.entries[name].flat[0] = np.inf
+        bad = tmp_path / "inf.cwc"
+        weights.save_weights(container, bad)
+        proc = run_cli("infer", "--video", str(workdir / "clip.ctf"),
+                       "--detections", str(workdir / "det.jsonl"),
+                       "--weights", str(bad))
+        assert proc.returncode == 2
+        assert repr(name) in proc.stderr
+        assert "non-finite" in proc.stderr
+        assert proc.stdout == ""
 
     def test_directory_as_video_exits_2(self, workdir):
         proc = run_cli("infer", "--video", str(workdir),

@@ -102,6 +102,17 @@ class TestParsing:
         with pytest.raises(FormatError, match="line 2"):
             crop.parse_detections(text, height=100, width=100)
 
+    @pytest.mark.parametrize("record", (
+        {"frame": True, "boxes": []},
+        {"frame": 1, "boxes": [[False, 0, True, 1]]},
+        {"frame": 1, "boxes": [[0, 0, 1.5, True]]},
+    ))
+    def test_boolean_rejected_as_number(self, record):
+        # JSON true/false decode to bool, which isinstance(.., int) accepts
+        text = lines({"frame": 0, "boxes": []}, record)
+        with pytest.raises(FormatError, match="line 2"):
+            crop.parse_detections(text, height=100, width=100)
+
     def test_integer_past_digit_limit_reports_line(self):
         text = '{"frame": 0, "boxes": [[0, 0, 1%s, 1]]}' % ("0" * 5000)
         with pytest.raises(FormatError, match="line 1"):

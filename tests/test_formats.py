@@ -223,6 +223,17 @@ class TestWeightContainer:
         with pytest.raises(FormatError, match="truncated"):
             weights.load_weights(path)
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_non_finite_entry_rejected_by_name(self, tmp_path, bad):
+        poisoned = np.ones(3)
+        poisoned[1] = bad
+        data = build_container_bytes([("ok", np.ones(2)), ("bad", poisoned),
+                                      ("also", np.full(2, np.nan))])
+        path = tmp_path / "w.cwc"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match="'bad'.*non-finite"):
+            weights.load_weights(path)
+
     def test_undecodable_name_rejected(self, tmp_path):
         data = bytearray(build_container_bytes([("w", np.ones(2))]))
         data[11] = 0xff  # the one-byte entry name

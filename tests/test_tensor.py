@@ -77,6 +77,41 @@ class TestMatmul:
         assert_close(left, right, rel=1e-8)
 
 
+class TestBmm:
+    def test_matches_per_batch_matmul(self):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((3, 4, 5))
+        b = rng.standard_normal((3, 5, 2))
+        want = np.stack([tensor.matmul(a[i], b[i]) for i in range(3)])
+        assert tensor.bmm(a, b).tobytes() == want.tobytes()
+
+    def test_counts_batch_times_matrix_work(self):
+        counter = MacCounter()
+        with counting(counter):
+            out = tensor.bmm(np.ones((3, 4, 5)), np.ones((3, 5, 2)))
+        assert out.shape == (3, 4, 2)
+        assert counter.total == 3 * 4 * 5 * 2
+
+    @pytest.mark.parametrize("a_shape, b_shape, message", [
+        ((4, 5), (3, 5, 2), "rank 3"),
+        ((3, 4, 5), (5, 2), "rank 3"),
+        ((3, 4, 5, 1), (3, 5, 2), "rank 3"),
+        ((3, 4, 5), (2, 5, 2), "batch"),
+        ((3, 4, 5), (3, 6, 2), "inner"),
+    ])
+    def test_shape_errors(self, a_shape, b_shape, message):
+        counter = MacCounter()
+        with counting(counter), pytest.raises(ShapeError, match=message):
+            tensor.bmm(np.zeros(a_shape), np.zeros(b_shape))
+        assert counter.total == 0
+
+    def test_mixed_precision_rejected(self):
+        a = np.zeros((2, 2, 2), dtype=np.float32)
+        b = np.zeros((2, 2, 2), dtype=np.float64)
+        with pytest.raises(ShapeError, match="mixed precisions"):
+            tensor.bmm(a, b)
+
+
 class TestElementwise:
     def test_mul_broadcast_counts_output_elements(self):
         counter = MacCounter()
