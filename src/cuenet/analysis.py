@@ -12,9 +12,9 @@ The memory estimator prices the attention mechanisms' intermediate buffers
 under the step schedule documented in :mod:`cuenet.attention` and is checked
 against the instrumented high-water mark the same way.
 
-Timing uses the flat single-mechanism kernels so the asymptotic shapes are
-visible: the additive forms scale linearly in token count, softmax
-self-attention quadratically.
+Timing runs each mechanism's kernel, single-head for softmax attention, on
+one token matrix so the asymptotic shapes are visible: the additive forms
+scale linearly in token count, softmax self-attention quadratically.
 """
 
 import hashlib
@@ -224,7 +224,7 @@ def _attention_instance(kind, n, d, seed, dtype=np.float64):
     x = rng.standard_normal((n, d)).astype(dtype)
     if kind == ATTENTION_SELF:
         wq, wk, wv = draw((d, d)), draw((d, d)), draw((d, d))
-        return lambda: attention.flat_self_attention(x, wq, wk, wv)
+        return lambda: attention.softmax_attention(x, wq, wk, wv, 1)
     params = attention.AdditiveParams(
         q=draw((1, d)) if kind == ATTENTION_MEAA else None,
         wq=draw((d, d)), wk=draw((d, d)), w_a=draw((d,)), w1=draw((d, d)),
@@ -259,12 +259,17 @@ class BenchResult:
     checksum: str
 
 
+# Largest intermediate peak (estimate_memory bytes) a bench size may need.
+BENCH_MEMORY_LIMIT = 1 << 30
+
+
 def bench_attention(kind, sizes, d=64, reps=7, seed=0, warmup=2):
     """Time one mechanism across token counts.
 
     At least five repetitions are required so the median is meaningful.
-    The checksum digests the output bytes; identical seeds must reproduce
-    it exactly.
+    A size whose intermediates would exceed :data:`BENCH_MEMORY_LIMIT`
+    bytes is refused before any input is drawn.  The checksum digests the
+    output bytes; identical seeds must reproduce it exactly.
     """
     if reps < 5:
         raise ParamError(f"need at least 5 repetitions for a stable median, "
@@ -275,6 +280,11 @@ def bench_attention(kind, sizes, d=64, reps=7, seed=0, warmup=2):
         raise ParamError(f"token counts must be positive: {sizes}")
     if d < 1:
         raise ParamError(f"token width must be positive, got {d}")
+    for n in sizes:
+        need = estimate_memory(kind, n, d).bytes
+        if need > BENCH_MEMORY_LIMIT:
+            raise ParamError(f"{kind} at n={n} needs {need} bytes, over the "
+                             f"bench limit of {BENCH_MEMORY_LIMIT}")
     results = []
     for n in sizes:
         run = _attention_instance(kind, n, d, seed)

@@ -3,7 +3,8 @@
 Three interchangeable mechanisms, named by the ``ATTENTION_*`` kinds:
 
 * :func:`mhsa` -- conventional multi-head self-attention with softmax over
-  pairwise scores.  Cost and intermediate storage grow with n**2.
+  pairwise scores, :func:`softmax_attention` followed by an output
+  projection.  Cost and intermediate storage grow with n**2.
 * :func:`eaa_original` -- additive attention with a matrix query: every token
   row is projected to a query, per-row scores are softmax-normalized, and
   their weighted sum forms a single global query vector.  Linear in n.
@@ -12,27 +13,24 @@ Three interchangeable mechanisms, named by the ``ATTENTION_*`` kinds:
   and the softmax disappears entirely.  Also linear in n, with one fewer
   n-by-d projection and no n-vector of scores.
 
-:func:`attend` is the one place a kernel is chosen by kind.  With ``pool``
-it returns one (1, d) vector (column mean of the transformed rows);
-without, the (n, d) rows, so any mechanism can stand in for a
-shape-preserving token mixer inside a block stack.
+:func:`attend` is the one place a kernel is chosen by kind.  Every kernel
+and :func:`attend` take (n, d) tokens or a (t, n, d) stack of t frames and
+return rows of the same shape, each frame attending only within itself;
+with ``pool`` they take (n, d) tokens and return the (1, d) column mean of
+the rows.  A stack's per-token projections run once over all t*n rows and
+its per-frame products, the modified form's token-free query path included,
+are one :func:`cuenet.tensor.bmm` over frames: exactly t times the work of
+one frame and the same values as t separate calls.
 
-:func:`mhsa` and :func:`eaa_original` also take a (t, n, d) stack of t
-frames and return (t, n, d) rows, each frame attending only within itself.
-The per-token projections run once over all t*n rows and the per-frame
-products are one :func:`cuenet.tensor.bmm` over frames, so the stack does
-exactly t times the work of one frame and gives the same values as t
-separate calls.
-
-The additive kernels and :func:`flat_self_attention` announce intermediate
+The additive kernels and :func:`softmax_attention` announce intermediate
 buffer lifetimes to the active memory meter (see :mod:`cuenet.instrument`)
 under a fixed step schedule: a step's inputs stay live until its outputs
 exist, and a softmax materializes its weights in a fresh buffer.  The
-resulting high-water marks of the pooled forms, in elements:
+resulting high-water marks on (n, d) tokens, pooled and one head, in elements:
 
-* meaa:            2*n*d + 2*d
-* eaa_original:    3*n*d + n + d
-* self-attention:  max(3*n*d + n*n, n*d + 2*n*n)
+* meaa:               2*n*d + 2*d
+* eaa_original:       3*n*d + n + d
+* softmax_attention:  max(3*n*d + n*n, n*d + 2*n*n)
 
 Gradients for the modified form are provided analytically in
 :func:`meaa_grad` for every parameter group plus both inputs.
@@ -97,13 +95,12 @@ AttentionParams = Union[MhsaParams, AdditiveParams]
 
 
 def attend(kind, tokens, p, heads, pool):
-    """Run the ``kind`` mechanism over (n, d) tokens.
+    """Run the ``kind`` mechanism over (n, d) tokens or a (t, n, d) stack.
 
     ``p`` is the kind's parameter group: :class:`MhsaParams` for
     self-attention, :class:`AdditiveParams` otherwise.  ``heads`` applies to
-    self-attention only.  Returns (1, d) with ``pool``, else (n, d) rows.
-    Without ``pool``, self-attention and the original additive kind also
-    take a (t, n, d) stack of frames and return (t, n, d).
+    self-attention only.  Returns rows of the input's shape, or with
+    ``pool`` (on (n, d) tokens) their (1, d) column mean.
     """
     check_kind(kind)
     if kind == ATTENTION_SELF:
@@ -115,23 +112,19 @@ def attend(kind, tokens, p, heads, pool):
     return eaa_original(tokens, p, pool)
 
 
-def _check_tokens(x, name, frames=False):
-    """Validate (n, d) tokens, or with ``frames`` also a (t, n, d) stack."""
-    if not frames:
-        check_tensor(x, rank=2, name=name)
-    elif check_tensor(x, name=name).ndim not in (2, 3):
+def _frame_stack(x, name, pool=False):
+    """Validate (n, d) tokens or, without ``pool``, a (t, n, d) stack;
+    return it as a (t, n, d) stack."""
+    if check_tensor(x, name=name).ndim not in (2, 3):
         raise ShapeError(f"{name} must have rank 2 or 3, got shape "
+                         f"{x.shape}")
+    if pool and x.ndim == 3:
+        raise ShapeError(f"pooled {name} must be (n, d), got shape "
                          f"{x.shape}")
     if min(x.shape[:-1]) < 1:
         raise ShapeError(f"{name} needs at least one token row, got shape "
                          f"{x.shape}")
-    return x
-
-
-def _frame_stack(x):
-    """(n, d) or (t, n, d) tokens as a (t, n, d) stack and its t*n rows."""
-    stack = x.reshape((-1,) + x.shape[-2:])
-    return stack, stack.reshape(-1, x.shape[-1])
+    return x.reshape((-1,) + x.shape[-2:])
 
 
 # ---------------------------------------------------------------------------
@@ -139,34 +132,40 @@ def _frame_stack(x):
 # ---------------------------------------------------------------------------
 
 def attention_scalar(q_star, w_a):
-    """The scalar gate: (q_star . w_a) / sqrt(d), as a float.
+    """Additive score (q . w_a) / sqrt(d) of every projected query row.
 
-    ``q_star`` is the already-projected query row (1, d).  Exposed separately
-    so the gate's linearity in ``w_a`` can be probed directly.
+    ``q_star`` is (m, d) or a (t, m, d) stack; the scores come back as
+    (m, 1) or (t, m, 1), shaped to scale the rows by broadcasting.  With one
+    row per frame this is the modified form's scalar gate, exposed so its
+    linearity in ``w_a`` can be probed directly.
     """
-    check_tensor(q_star, rank=2, name="projected query")
-    d = q_star.shape[1]
-    raw = matmul(q_star, w_a.reshape(d, 1))
-    scaled = scale(raw, 1.0 / math.sqrt(d))
-    return float(scaled[0, 0])
+    stack = _frame_stack(q_star, "projected query")
+    d = stack.shape[-1]
+    # one gemv per frame: one over all t*m rows rounds some rows unlike the
+    # (m, d) call does
+    raw = bmm(stack, w_a.reshape(1, d, 1))
+    return scale(raw, 1.0 / math.sqrt(d)).reshape(q_star.shape[:-1] + (1,))
 
 
 def _project_rows(fused, residual, residual_name, p, pool):
     """Shared tail of the additive kernels: two projections, optional mean.
 
-    ``residual`` (live in the memory meter as ``residual_name``) is added
-    after the first projection and released with ``fused``.
+    ``fused`` is a (t, n, d) stack.  ``residual`` (live in the memory meter
+    as ``residual_name``) broadcasts against it, is added after the first
+    projection and is released with ``fused``.  Returns the (t, n, d) rows,
+    or with ``pool`` the (1, d) mean of a one-frame stack's rows.
     """
-    n, d = fused.shape
-    hidden = matmul(fused, p.w1) + p.b1 + residual
-    meter_alloc("hidden", n * d)
+    d = fused.shape[-1]
+    hidden = matmul(fused.reshape(-1, d), p.w1).reshape(fused.shape) \
+        + p.b1 + residual
+    meter_alloc("hidden", hidden.size)
     meter_free("fused")
     meter_free(residual_name)
-    rows = matmul(hidden, p.w2) + p.b2
-    meter_alloc("rows", n * d)
+    rows = matmul(hidden.reshape(-1, d), p.w2) + p.b2
+    meter_alloc("rows", rows.size)
     meter_free("hidden")
     if not pool:
-        return rows
+        return rows.reshape(fused.shape)
     out = mean_rows(rows)
     meter_alloc("out", d)
     meter_free("rows")
@@ -174,32 +173,35 @@ def _project_rows(fused, residual, residual_name, p, pool):
 
 
 def meaa(q_normed, tokens, p, pool=True):
-    """Modified additive attention; (1, d) pooled, or (n, d) rows.
+    """Modified additive attention: (1, d) pooled, else input-shaped rows.
 
     The query is gated by the scalar score, broadcast against the projected
     keys, passed through the two projections with a query residual, and the
-    transformed rows are mean-pooled unless ``pool`` is false.
+    transformed rows are mean-pooled unless ``pool`` is false.  A (t, n, d)
+    stack runs the query path once per frame.
     """
-    x = _check_tokens(tokens, "additive attention tokens")
+    stack = _frame_stack(tokens, "additive attention tokens", pool)
     check_tensor(q_normed, rank=2, name="normalized query")
-    n, d = x.shape
+    t, n, d = stack.shape
     if q_normed.shape != (1, d):
         raise ShapeError(f"query shape {q_normed.shape} vs tokens "
-                         f"{x.shape}; expected (1, {d})")
-    q_star = matmul(q_normed, p.wq)
-    meter_alloc("q_star", d)
-    k = matmul(x, p.wk)
-    meter_alloc("k", n * d)
+                         f"{tokens.shape}; expected (1, {d})")
+    # the query path needs no tokens, yet runs per frame as count_flops prices
+    q_star = bmm(np.broadcast_to(q_normed, (t, 1, d)), p.wq[None])
+    meter_alloc("q_star", q_star.size)
+    k = matmul(stack.reshape(-1, d), p.wk)
+    meter_alloc("k", k.size)
     alpha = attention_scalar(q_star, p.w_a)
-    meter_alloc("alpha", 1)
-    q_gated = scale(q_star, alpha)
-    meter_alloc("q_gated", d)
+    meter_alloc("alpha", alpha.size)
+    q_gated = mul(q_star, alpha)
+    meter_alloc("q_gated", q_gated.size)
     meter_free("alpha")
-    fused = mul(k, q_gated)
-    meter_alloc("fused", n * d)
+    fused = mul(k.reshape(t, n, d), q_gated)
+    meter_alloc("fused", fused.size)
     meter_free("k")
     meter_free("q_gated")
-    return _project_rows(fused, q_star, "q_star", p, pool)
+    out = _project_rows(fused, q_star, "q_star", p, pool)
+    return out if pool else out.reshape(tokens.shape)
 
 
 @dataclass
@@ -224,7 +226,7 @@ def meaa_grad(q_normed, tokens, p, upstream):
     The mean pool spreads the cotangent uniformly over rows, so the second
     projection bias receives exactly the upstream vector.
     """
-    x = _check_tokens(tokens, "additive attention tokens")
+    x = _frame_stack(tokens, "additive attention tokens", pool=True)[0]
     check_tensor(upstream, rank=2, name="upstream cotangent")
     n, d = x.shape
     if upstream.shape != (1, d):
@@ -271,95 +273,80 @@ def eaa_original(tokens, p, pool=True):
     Every token projects to a query row; softmax-normalized per-row scores
     weight the rows into one global query, which gates the keys.  The two
     projections carry a per-row query residual before the mean pool, which
-    is skipped unless ``pool`` is true.  A (t, n, d) stack without ``pool``
-    gives (t, n, d) rows, one global query per frame.
+    is skipped unless ``pool`` is true.  A (t, n, d) stack gives (t, n, d)
+    rows, one global query per frame.
     """
-    x = _check_tokens(tokens, "additive attention tokens", frames=True)
-    if pool and x.ndim == 3:
-        raise ShapeError(f"pooled additive attention takes (n, d) tokens, "
-                         f"got shape {x.shape}")
-    stack, rows = _frame_stack(x)
+    stack = _frame_stack(tokens, "additive attention tokens", pool)
     t, n, d = stack.shape
-    q = matmul(rows, p.wq)
+    rows = stack.reshape(-1, d)
+    q = matmul(rows, p.wq).reshape(t, n, d)
     meter_alloc("q", q.size)
     k = matmul(rows, p.wk)
     meter_alloc("k", k.size)
-    # scored per frame: one gemv over all t*n rows rounds some rows unlike
-    # the (n, d) call does
-    w_a = np.broadcast_to(p.w_a.reshape(1, d, 1), (t, d, 1))
-    raw = bmm(q.reshape(t, n, d), w_a)
-    scaled = scale(raw, 1.0 / math.sqrt(d))
-    meter_alloc("scores", scaled.size)
-    weights = softmax_rows(scaled.reshape(t, n))
+    scores = attention_scalar(q, p.w_a)
+    meter_alloc("scores", scores.size)
+    weights = softmax_rows(scores.reshape(t, n))
     meter_alloc("weights", weights.size)
     meter_free("scores")
-    q_global = bmm(weights.reshape(t, 1, n), q.reshape(t, n, d))
-    fused = mul(k.reshape(t, n, d), q_global).reshape(-1, d)
+    q_global = bmm(weights.reshape(t, 1, n), q)
+    fused = mul(k.reshape(t, n, d), q_global)
     meter_alloc("q_global", q_global.size)
     meter_alloc("fused", fused.size)
     meter_free("weights")
     meter_free("k")
     meter_free("q_global")
     out = _project_rows(fused, q, "q", p, pool)
-    return out if pool else out.reshape(x.shape)
+    return out if pool else out.reshape(tokens.shape)
 
 
 # ---------------------------------------------------------------------------
 # softmax self-attention
 # ---------------------------------------------------------------------------
 
-def mhsa(tokens, p, heads):
-    """Multi-head softmax self-attention, fused output of the input's shape.
+def softmax_attention(tokens, wq, wk, wv, heads):
+    """Multi-head softmax attention without output projection; the context
+    comes back in the input's shape, the one buffer it leaves live.
 
-    ``tokens`` is (n, d), or a (t, n, d) stack whose frames each attend only
-    within themselves.  Each head's scores and context are one batched
-    product over frames.  Heads stay a loop, so the softmax works on one
-    head's (t*n, n) scores at a time: one softmax over every head's scores
-    was slower at 400 tokens, where its temporaries no longer fit in cache.
+    Each head's scores and context are one batched product over frames.
+    Heads stay a loop, so the softmax works on one head's (t*n, n) scores
+    at a time: one softmax over every head's scores was slower at 400
+    tokens, where its temporaries no longer fit in cache.
     """
-    x = _check_tokens(tokens, "self-attention tokens", frames=True)
-    stack, rows = _frame_stack(x)
+    stack = _frame_stack(tokens, "self-attention tokens")
     t, n, d = stack.shape
     if heads < 1 or d % heads != 0:
         raise ShapeError(f"head count {heads} must divide width {d}")
     dh = d // heads
-    q = matmul(rows, p.wq)
-    k = matmul(rows, p.wk).reshape(t, n, d)
-    v = matmul(rows, p.wv).reshape(t, n, d)
+    rows = stack.reshape(-1, d)
+    q = matmul(rows, wq)
+    meter_alloc("q", q.size)
+    k = matmul(rows, wk).reshape(t, n, d)
+    meter_alloc("k", k.size)
+    v = matmul(rows, wv).reshape(t, n, d)
+    meter_alloc("v", v.size)
     q = scale(q, 1.0 / math.sqrt(dh)).reshape(t, n, d)
     ctx = np.empty_like(stack)
     for h in range(heads):
         lo, hi = h * dh, (h + 1) * dh
         scores = bmm(q[:, :, lo:hi], k[:, :, lo:hi].transpose(0, 2, 1))
+        meter_alloc("scores", scores.size)
+        if h == heads - 1:  # the last use of q and k
+            meter_free("q")
+            meter_free("k")
         weights = softmax_rows(scores.reshape(-1, n)).reshape(t, n, n)
+        meter_alloc("weights", weights.size)
+        meter_free("scores")
         ctx[:, :, lo:hi] = bmm(weights, v[:, :, lo:hi])
-    return matmul(ctx.reshape(-1, d), p.fuse).reshape(x.shape)
-
-
-def flat_self_attention(tokens, wq, wk, wv):
-    """Single-head softmax attention kernel used for measurement.
-
-    No output fuse; this is the minimal quadratic-cost baseline whose
-    intermediate schedule the memory meter observes.
-    """
-    x = _check_tokens(tokens, "self-attention tokens")
-    n, d = x.shape
-    q = matmul(x, wq)
-    meter_alloc("q", n * d)
-    k = matmul(x, wk)
-    meter_alloc("k", n * d)
-    v = matmul(x, wv)
-    meter_alloc("v", n * d)
-    q = scale(q, 1.0 / math.sqrt(d))
-    scores = matmul(q, k.T)
-    meter_alloc("scores", n * n)
-    meter_free("q")
-    meter_free("k")
-    weights = softmax_rows(scores)
-    meter_alloc("weights", n * n)
-    meter_free("scores")
-    out = matmul(weights, v)
-    meter_alloc("ctx", n * d)
-    meter_free("weights")
+        if h == 0:  # charged once its first head is written
+            meter_alloc("ctx", ctx.size)
+        meter_free("weights")
     meter_free("v")
-    return out
+    return ctx.reshape(tokens.shape)
+
+
+def mhsa(tokens, p, heads):
+    """Multi-head softmax self-attention: :func:`softmax_attention` and the
+    ``fuse`` output projection, in the input's shape."""
+    ctx = softmax_attention(tokens, p.wq, p.wk, p.wv, heads)
+    d = ctx.shape[-1]
+    return matmul(ctx.reshape(-1, d), p.fuse).reshape(tokens.shape)

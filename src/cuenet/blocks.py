@@ -8,11 +8,9 @@ each preceded by its own layer normalization:
 1. temporal affinity: a shared value projection, a depthwise temporal
    convolution over the spatial grid (class tokens pass through), and a
    fusing projection;
-2. a per-frame token mixer: the block's attention kind, run by
-   :func:`cuenet.attention.attend` in row-preserving form.  Self-attention
-   and the original additive kind take the whole (frames, tokens, hidden)
-   stack in one call, batched over the frame axis; the modified kind runs
-   once per frame's (tokens, hidden) matrix;
+2. a per-frame token mixer: the block's attention kind, run by one
+   row-preserving :func:`cuenet.attention.attend` call on the whole
+   (frames, tokens, hidden) stack, batched over the frame axis;
 3. a two-layer feed-forward unit with an exact-erf GELU.
 
 The temporal convolution is the only place information crosses frames in a
@@ -145,20 +143,11 @@ def lt_mhra(field, p):
 
 
 def frame_mixer(field, kind, p, heads):
-    """Per-frame ``kind`` attention over an already-normalized field.
-
-    The modified kind keeps one call per frame: one call over all frames
-    would run its shared query path once per block instead of once per
-    frame, which is less work than :func:`cuenet.analysis.count_flops`
-    prices.
-    """
-    if kind != attention.ATTENTION_MEAA:
-        return field.with_data(
-            attention.attend(kind, field.data, p, heads, pool=False))
-    out = np.empty_like(field.data)
-    for t in range(field.frames):
-        out[t] = attention.attend(kind, field.data[t], p, heads, pool=False)
-    return field.with_data(out)
+    """Per-frame ``kind`` attention over an already-normalized field: one
+    :func:`cuenet.attention.attend` call on the whole frame stack, each
+    frame attending only within itself."""
+    return field.with_data(
+        attention.attend(kind, field.data, p, heads, pool=False))
 
 
 def ffn(field, p):

@@ -70,10 +70,15 @@ class ModelConfig:
                               f"width ({self.hidden})")
         if self.lt_kernel % 2 == 0:
             raise ConfigError(f"lt_kernel must be odd, got {self.lt_kernel}")
+        try:  # nan, an infinity or an overflowing product has no width
+            ffn_hidden = round(self.ffn_ratio * self.hidden)
+        except (ValueError, OverflowError):
+            raise ConfigError(f"ffn_ratio {self.ffn_ratio} gives no finite "
+                              f"hidden width") from None
         if self.ffn_ratio <= 0:
             raise ConfigError(f"ffn_ratio must be positive, got "
                               f"{self.ffn_ratio}")
-        if round(self.ffn_ratio * self.hidden) < 1:
+        if ffn_hidden < 1:
             raise ConfigError("ffn_ratio too small: empty hidden layer")
         if not isinstance(self.local_attention, tuple):
             raise ConfigError("local_attention must be a tuple of kinds")

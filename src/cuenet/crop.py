@@ -107,9 +107,10 @@ def parse_detections(source, height, width):
 
     Each line is an object ``{"frame": i, "boxes": [[x_min, y_min, x_max,
     y_max], ...]}``.  Frames may appear in any order but the indices must
-    form exactly 0..T-1 with no duplicates.  Box corners are clamped to the
-    frame after validating ordering; a line with ``min > max`` is rejected
-    with its line number.
+    form exactly 0..T-1 with no duplicates.  Box corners must be JSON
+    numbers (not strings or booleans); they are clamped to the frame after
+    validating ordering.  A malformed line, or one with ``min > max``, is
+    rejected with its line number.
     """
     try:
         text = source if isinstance(source, (str, bytes)) else source.read()
@@ -146,10 +147,12 @@ def parse_detections(source, height, width):
                 raise FormatError(f"box must be [x_min, y_min, x_max, y_max], "
                                   f"got {entry!r}", line=lineno)
             try:
-                if any(isinstance(v, bool) for v in entry):
-                    raise TypeError("boolean box corner")
+                # JSON numbers only: true/false decode to bool, an int
+                if not all(isinstance(v, (int, float))
+                           and not isinstance(v, bool) for v in entry):
+                    raise TypeError("box corner is not a JSON number")
                 corners = [float(v) for v in entry]
-            except (TypeError, ValueError, OverflowError):
+            except (TypeError, OverflowError):
                 raise FormatError(f"non-numeric box corner in {entry!r}",
                                   line=lineno) from None
             try:

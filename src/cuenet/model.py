@@ -31,7 +31,7 @@ from .errors import ConfigError
 from .global_block import GlobalBlockParams, global_uniblock_forward
 from .instrument import record_shape, stage, tracing
 from .tensor import LnParams, check_tensor, conv3d, dtype_of
-from .weights import validate_container
+from .weights import attention_prefix, validate_container
 
 
 @dataclass
@@ -59,11 +59,10 @@ def bind_parameters(container, cfg):
                          w2=e[f"{prefix}.w2"], b2=e[f"{prefix}.b2"])
 
     def attention_group(base, kind):
+        prefix = attention_prefix(base, kind)
         if kind == ATTENTION_SELF:
-            return MhsaParams(wq=e[f"{base}.gs.wq"], wk=e[f"{base}.gs.wk"],
-                              wv=e[f"{base}.gs.wv"],
-                              fuse=e[f"{base}.gs.fuse"])
-        prefix = f"{base}.attn"
+            return MhsaParams(wq=e[f"{prefix}.wq"], wk=e[f"{prefix}.wk"],
+                              wv=e[f"{prefix}.wv"], fuse=e[f"{prefix}.fuse"])
         modified = kind == ATTENTION_MEAA
         return AdditiveParams(
             q=e[f"{prefix}.q"] if modified else None,

@@ -86,17 +86,18 @@ def matmul(a, b):
 
 def bmm(a, b):
     """Batched product of 3-d operands, one ``m*k`` by ``k*n`` product per
-    leading index; reports ``b*m*k*n`` multiply-adds."""
+    leading index (a batch extent of 1 is shared, as in ``np.matmul``);
+    reports ``b*m*k*n`` multiply-adds."""
     check_tensor(a, rank=3, name="bmm left operand")
     check_tensor(b, rank=3, name="bmm right operand")
     _check_same_precision(a, b, "bmm")
     batch, m, k = a.shape
     batch2, k2, n = b.shape
-    if batch != batch2:
+    if batch != batch2 and 1 not in (batch, batch2):
         raise ShapeError(f"bmm batch extents differ: {a.shape} vs {b.shape}")
     if k != k2:
         raise ShapeError(f"bmm inner extents differ: {a.shape} vs {b.shape}")
-    add_macs(batch * m * k * n)
+    add_macs(max(batch, batch2) * m * k * n)
     return a @ b
 
 

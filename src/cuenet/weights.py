@@ -44,6 +44,11 @@ class WeightSpec:
     fan_in: int = 0    # uniform rule only
 
 
+def attention_prefix(base, kind):
+    """Entry-name prefix of block ``base``'s ``kind`` attention group."""
+    return f"{base}.gs" if kind == ATTENTION_SELF else f"{base}.attn"
+
+
 def _attention_specs(prefix, kind, d):
     specs = []
     if kind == ATTENTION_SELF:
@@ -96,17 +101,15 @@ def expected_entries(cfg):
                              kt),
                   WeightSpec(f"{base}.lt.fuse", (d, d), "uniform", d)]
         specs += _ln_specs(f"{base}.ln2", d)
-        prefix = f"{base}.gs" if kind == ATTENTION_SELF else f"{base}.attn"
-        specs += _attention_specs(prefix, kind, d)
+        specs += _attention_specs(attention_prefix(base, kind), kind, d)
         specs += _ln_specs(f"{base}.ln3", d)
         specs += _ffn_specs(f"{base}.ffn", d, hidden)
     specs.append(WeightSpec("global.dpe.kernel",
                             (DPE_KERNEL, DPE_KERNEL, DPE_KERNEL, d),
                             "uniform", DPE_KERNEL ** 3))
     specs += _ln_specs("global.ln_tokens", d)
-    prefix = "global.gs" if cfg.global_attention == ATTENTION_SELF \
-        else "global.attn"
-    specs += _attention_specs(prefix, cfg.global_attention, d)
+    specs += _attention_specs(attention_prefix("global", cfg.global_attention),
+                              cfg.global_attention, d)
     specs += _ln_specs("global.ln_ffn", d)
     specs += _ffn_specs("global.ffn", d, hidden)
     specs += [WeightSpec("fusion.beta", (1, d), "zeros"),

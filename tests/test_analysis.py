@@ -224,6 +224,19 @@ class TestBench:
         with pytest.raises(ParamError):
             analysis.bench_attention(ATTENTION_MEAA, (0,), d=8)
 
+    def test_size_over_memory_limit_refused_before_inputs(self,
+                                                          monkeypatch):
+        def no_inputs(*args):
+            raise AssertionError("inputs drawn for a refused size")
+        monkeypatch.setattr(analysis, "_attention_instance", no_inputs)
+        # 537.9 M elements: 4.3 GB of f64 intermediates
+        with pytest.raises(ParamError, match="limit"):
+            analysis.bench_attention(ATTENTION_SELF, (8, 16384), d=64)
+        assert analysis.estimate_memory(ATTENTION_SELF, 4096, 64).bytes \
+            <= analysis.BENCH_MEMORY_LIMIT
+        assert analysis.estimate_memory(ATTENTION_MEAA, 32768, 64).bytes \
+            <= analysis.BENCH_MEMORY_LIMIT
+
     def test_csv_round_trip(self):
         results = analysis.bench_attention(ATTENTION_EAA, (4,), d=8, reps=5)
         text = analysis.format_bench_csv(results)

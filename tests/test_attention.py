@@ -352,7 +352,7 @@ class TestFrameStacks:
     """A (t, n, d) stack is t frames that each attend only within
     themselves: the same values and t times the work of t separate calls."""
 
-    KINDS = (attention.ATTENTION_SELF, attention.ATTENTION_EAA)
+    KINDS = attention.ATTENTION_KINDS
 
     def instance(self, kind, t=3, n=17, d=8, seed=160):
         # n = 17 leaves a tail past any 4- or 8-row BLAS blocking
@@ -360,13 +360,16 @@ class TestFrameStacks:
         x = rng.standard_normal((t, n, d))
         if kind == attention.ATTENTION_SELF:
             return x, random_mhsa_params(rng, d)
-        return x, random_additive_params(rng, d, with_q=False)
+        p = random_additive_params(rng, d,
+                                   with_q=kind == attention.ATTENTION_MEAA)
+        if kind == attention.ATTENTION_MEAA:
+            p.q_ln = LnParams(gamma=rng.standard_normal(d),
+                              beta=rng.standard_normal(d))
+        return x, p
 
     @staticmethod
-    def mix(kind, tokens, p):
-        if kind == attention.ATTENTION_SELF:
-            return attention.mhsa(tokens, p, heads=2)
-        return attention.eaa_original(tokens, p, pool=False)
+    def mix(kind, tokens, p, pool=False):
+        return attention.attend(kind, tokens, p, heads=2, pool=pool)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_stack_equals_per_frame_calls(self, kind):
@@ -393,9 +396,10 @@ class TestFrameStacks:
             self.mix(kind, x[None], p)
 
     def test_pooled_stack_rejected(self):
-        x, p = self.instance(attention.ATTENTION_EAA)
-        with pytest.raises(ShapeError, match="pooled"):
-            attention.eaa_original(x, p, pool=True)
+        for kind in (attention.ATTENTION_MEAA, attention.ATTENTION_EAA):
+            x, p = self.instance(kind)
+            with pytest.raises(ShapeError, match="pooled"):
+                self.mix(kind, x, p, pool=True)
 
 
 class TestBufferSchedules:
@@ -428,10 +432,20 @@ class TestBufferSchedules:
         for n, d in ((1, 1), (2, 4), (16, 8), (64, 8), (20, 64)):
             wq, wk, wv = (rng.standard_normal((d, d)) for _ in range(3))
             meter = self.meter_for(
-                lambda: attention.flat_self_attention(
-                    rng.standard_normal((n, d)), wq, wk, wv))
+                lambda: attention.softmax_attention(
+                    rng.standard_normal((n, d)), wq, wk, wv, 1))
             assert meter.high_water \
                 == max(3 * n * d + n * n, n * d + 2 * n * n)
+
+    @pytest.mark.parametrize("shape, heads", (((5, 8), 1), ((3, 5, 8), 4)))
+    def test_softmax_kernel_leaves_only_its_output_live(self, shape, heads):
+        rng = np.random.default_rng(143)
+        d = shape[-1]
+        wq, wk, wv = (rng.standard_normal((d, d)) for _ in range(3))
+        meter = self.meter_for(
+            lambda: attention.softmax_attention(
+                rng.standard_normal(shape), wq, wk, wv, heads))
+        assert meter.live == np.prod(shape)
 
     def test_meter_rejects_double_alloc_and_unknown_free(self):
         meter = MemoryMeter()

@@ -374,6 +374,16 @@ class TestFlops:
         assert proc.returncode == 0, proc.stderr
         assert "# verification skipped" in proc.stdout
 
+    @pytest.mark.parametrize("ratio", ("nan", "inf", "1e307"))
+    def test_ffn_ratio_without_finite_width_exits_3(self, tmp_path, ratio):
+        cfg = tmp_path / "ratio.cfg"
+        cfg.write_text(serialize_config(desk_preset()).replace(
+            "ffn_ratio=4.0", f"ffn_ratio={ratio}"))
+        proc = run_cli("flops", "--config", str(cfg), "--verify", "off")
+        assert proc.returncode == 3
+        assert "ffn_ratio" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_out_file(self, tmp_path):
         out = tmp_path / "flops.txt"
         proc = run_cli("flops", "--verify", "off", "--out", str(out))

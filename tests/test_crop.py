@@ -106,9 +106,13 @@ class TestParsing:
         {"frame": True, "boxes": []},
         {"frame": 1, "boxes": [[False, 0, True, 1]]},
         {"frame": 1, "boxes": [[0, 0, 1.5, True]]},
+        {"frame": 1, "boxes": [["0", " 1 ", "5", "1e1"]]},
+        {"frame": 1, "boxes": [[0, 0, 1, "2"]]},
+        {"frame": 1, "boxes": [[0, 0, 1, None]]},
     ))
     def test_boolean_rejected_as_number(self, record):
-        # JSON true/false decode to bool, which isinstance(.., int) accepts
+        # JSON true/false decode to bool, which isinstance(.., int) accepts;
+        # strings such as "1e1" would pass float()
         text = lines({"frame": 0, "boxes": []}, record)
         with pytest.raises(FormatError, match="line 2"):
             crop.parse_detections(text, height=100, width=100)

@@ -3,7 +3,8 @@
 Tensor files, weight containers and detection streams arrive from outside
 the package, so every malformed byte string must surface as ``FormatError``
 (or ``ConfigError`` for a precision request the container cannot meet),
-and the ``crop`` command must exit 0 or 2 on any detection text.
+and the ``crop`` command must exit 0 or 2 on any detection text.  A
+configuration file with any value in any key raises only ``ConfigError``.
 """
 
 import json
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuenet import cli, ctf, weights
+from cuenet.config import desk_preset, parse_config, serialize_config
 from cuenet.crop import parse_detections
 from cuenet.errors import ConfigError, FormatError
 
@@ -70,6 +72,21 @@ detection_lines = st.lists(
     min_size=0, max_size=5).map("\n".join)
 
 
+_CONFIG_LINES = serialize_config(desk_preset()).splitlines()
+_CONFIG_KEYS = [line.partition("=")[0] for line in _CONFIG_LINES]
+# non-finite and overflowing numbers, integers past the digit limit, text
+config_values = st.one_of(
+    st.sampled_from(("nan", "inf", "-inf", "1e400", "1e307", "-0.0",
+                     "9" * 400, "9" * 5000)),
+    st.integers().map(str), st.floats().map(repr), st.text(max_size=12))
+
+
+def _config_text(values):
+    return "\n".join(
+        f"{key}={values[key]}" if key in values else line
+        for key, line in zip(_CONFIG_KEYS, _CONFIG_LINES)) + "\n"
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
@@ -119,3 +136,13 @@ def test_crop_command_exits_0_or_2(files, text):
                      "--detections", str(detections),
                      "--out", str(files / "out.ctf")])
     assert code in (0, 2)
+
+
+@FUZZ
+@given(st.dictionaries(st.sampled_from(_CONFIG_KEYS), config_values,
+                       min_size=1, max_size=3))
+def test_config_parser_raises_only_config_error(values):
+    try:
+        parse_config(_config_text(values))
+    except ConfigError:
+        pass

@@ -92,6 +92,19 @@ class TestBmm:
         assert out.shape == (3, 4, 2)
         assert counter.total == 3 * 4 * 5 * 2
 
+    def test_batch_of_one_is_shared(self):
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((3, 4, 5))
+        b = rng.standard_normal((1, 5, 2))
+        counter = MacCounter()
+        with counting(counter):
+            got = tensor.bmm(a, b)
+            back = tensor.bmm(b.transpose(0, 2, 1), a.transpose(0, 2, 1))
+        want = np.stack([tensor.matmul(a[i], b[0]) for i in range(3)])
+        assert got.tobytes() == want.tobytes()
+        assert back.shape == (3, 2, 4)
+        assert counter.total == 2 * 3 * 4 * 5 * 2
+
     @pytest.mark.parametrize("a_shape, b_shape, message", [
         ((4, 5), (3, 5, 2), "rank 3"),
         ((3, 4, 5), (5, 2), "rank 3"),
