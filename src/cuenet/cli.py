@@ -2,7 +2,8 @@
 
 Subcommands: ``crop``, ``infer``, ``init-weights``, ``flops``, ``bench``,
 ``gradcheck``, ``selftest``.  Exit codes: 0 success, 2 malformed input
-(missing or unreadable files, undecodable text, bad streams, bad flags),
+(missing or unreadable files, undecodable text, bad streams, clips holding
+NaN or an infinity, bad flags),
 3 invalid configuration, shape, or parameter, 4 failed runtime verification
 (including non-finite inference logits).
 
@@ -113,7 +114,11 @@ def _crop_summary(decision, in_shape, out_shape):
 
 
 def _read_clip(args):
-    """The ``--video`` clip and its ``--detections`` stream, checked to agree."""
+    """The ``--video`` clip and its ``--detections`` stream, checked to agree.
+
+    A clip holding NaN or +-inf is refused here, so ``model.forward`` pays
+    no finiteness check."""
+    import numpy as np
     from . import crop, ctf
     video = ctf.read_tensor(args.video)
     if video.ndim != 4:
@@ -122,6 +127,8 @@ def _read_clip(args):
     if video.shape[1] < 1 or video.shape[2] < 1:
         raise FormatError(f"clip frames must be non-empty, got "
                           f"{video.shape[1]}x{video.shape[2]}")
+    if not np.isfinite(video).all():
+        raise FormatError(f"{args.video}: clip holds NaN or infinite pixels")
     sequence = crop.parse_detections(_read_text(args.detections),
                                      height=video.shape[1],
                                      width=video.shape[2])

@@ -258,11 +258,16 @@ def gelu(x):
 
 
 def softmax_rows(x):
-    """Row-wise softmax of a 2-d matrix, max-shifted for overflow safety."""
+    """Row-wise softmax of a 2-d matrix, max-shifted for overflow safety.
+
+    The max-shifted copy is the one fresh matrix: the exponential and the
+    row normalization run in place in it, and ``x`` is never written.
+    """
     check_tensor(x, rank=2, name="softmax input")
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = x - x.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def sigmoid(x):

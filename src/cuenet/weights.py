@@ -146,6 +146,11 @@ class WeightContainer:
         return list(self.entries)
 
 
+# Largest parameter set, in bytes at the configured precision, that
+# init_weights draws; the paper preset in single precision needs 1.41 GB.
+INIT_SIZE_LIMIT = 2 << 30
+
+
 def init_weights(cfg):
     """Draw a fresh parameter set for a configuration.
 
@@ -154,10 +159,15 @@ def init_weights(cfg):
     query and class tokens a 0.02-scaled normal; normalization gains one,
     every bias and the fusion gate zero.  Draws happen in double precision
     and are cast to the configured precision afterwards, so single and
-    double containers describe the same underlying draw.
+    double containers describe the same underlying draw.  A set larger than
+    :data:`INIT_SIZE_LIMIT` bytes raises ``ConfigError`` before any draw.
     """
-    rng = np.random.default_rng(cfg.seed)
     dtype = dtype_of(cfg.precision)
+    if param_count(cfg) * np.dtype(dtype).itemsize > INIT_SIZE_LIMIT:
+        raise ConfigError(f"parameters for this configuration exceed the "
+                          f"{INIT_SIZE_LIMIT >> 30} GiB limit in "
+                          f"{cfg.precision} precision")
+    rng = np.random.default_rng(cfg.seed)
     entries = {}
     for spec in expected_entries(cfg):
         if spec.init == "zeros":

@@ -48,6 +48,15 @@ def workdir(tmp_path_factory):
     return root
 
 
+def non_finite_clip(workdir, tmp_path, value):
+    """The shared clip with a pixel block inside the crop set to ``value``."""
+    video = ctf.read_tensor(workdir / "clip.ctf").copy()
+    video[0, 20:24, 20:24, :] = value  # inside the [8, 6, 56, 60] union
+    clip = tmp_path / "non_finite.ctf"
+    ctf.write_tensor(clip, video)
+    return clip
+
+
 class TestCrop:
     def test_union_crop_applied(self, workdir):
         out = workdir / "cropped.ctf"
@@ -102,6 +111,19 @@ class TestCrop:
                        "--out", str(tmp_path / "c.ctf"))
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+    def test_non_finite_clip_exits_2(self, workdir, tmp_path, value):
+        clip = non_finite_clip(workdir, tmp_path, value)
+        out = tmp_path / "c.ctf"
+        proc = run_cli("crop", "--video", str(clip),
+                       "--detections", str(workdir / "det.jsonl"),
+                       "--out", str(out))
+        assert proc.returncode == 2
+        assert str(clip) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists()
 
     def test_corner_too_large_for_float_exits_2(self, workdir, tmp_path):
         path = tmp_path / "huge.jsonl"
@@ -308,14 +330,27 @@ class TestInfer:
         assert "dtype" in proc.stderr
         assert proc.stdout == ""
 
-    def test_nan_inside_crop_exits_4(self, workdir, tmp_path):
-        video = ctf.read_tensor(workdir / "clip.ctf").copy()
-        video[0, 20:24, 20:24, :] = np.nan  # inside the [8, 6, 56, 60] union
-        clip = tmp_path / "nan.ctf"
-        ctf.write_tensor(clip, video)
+    @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+    def test_non_finite_clip_exits_2(self, workdir, tmp_path, value):
+        clip = non_finite_clip(workdir, tmp_path, value)
         proc = run_cli("infer", "--video", str(clip),
                        "--detections", str(workdir / "det.jsonl"),
                        "--weights", str(workdir / "desk.cwc"))
+        assert proc.returncode == 2
+        assert str(clip) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_overflowing_logits_exit_4(self, workdir, tmp_path):
+        # finite weights whose class projection overflows every logit
+        container = weights.load_weights(workdir / "desk.cwc")
+        container.entries["fusion.proj"] = np.full_like(
+            container.entries["fusion.proj"], 1e308)
+        big = tmp_path / "big.cwc"
+        weights.save_weights(container, big)
+        proc = run_cli("infer", "--video", str(workdir / "clip.ctf"),
+                       "--detections", str(workdir / "det.jsonl"),
+                       "--weights", str(big))
         assert proc.returncode == 4
         assert proc.stdout == ""
         assert "non-finite" in proc.stderr
@@ -342,6 +377,21 @@ class TestInitWeights:
         run_cli("init-weights", "--out", str(a), "--seed", "1")
         run_cli("init-weights", "--out", str(b), "--seed", "2")
         assert a.read_bytes() != b.read_bytes()
+
+    @pytest.mark.parametrize("old, new", (
+        ("ffn_ratio=4.0", "ffn_ratio=1e300"),
+        ("ffn_ratio=4.0", "ffn_ratio=1e7"),
+        ("hidden=64", "hidden=100000000")))
+    def test_oversized_geometry_exits_3(self, tmp_path, old, new):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(serialize_config(desk_preset()).replace(old, new))
+        out = tmp_path / "w.cwc"
+        proc = run_cli("init-weights", "--config", str(cfg), "--out",
+                       str(out))
+        assert proc.returncode == 3
+        assert "limit" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
 
 def subprocess_weights_bytes(workdir):

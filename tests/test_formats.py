@@ -343,6 +343,15 @@ class TestWeightNaming:
         with pytest.raises(ConfigError, match="nope"):
             container["nope"]
 
+    def test_size_limit_admits_single_precision_paper_preset(self):
+        cfg = config.paper_preset()  # 1.41 GB in single precision
+        assert weights.param_count(cfg) == 352961538
+        assert weights.param_count(cfg) * 4 <= weights.INIT_SIZE_LIMIT
+
+    def test_oversized_set_refused_before_drawing(self):
+        with pytest.raises(ConfigError, match="limit"):
+            weights.init_weights(desk_preset(hidden=100_000_000))
+
 
 class TestConfigText:
     def test_round_trip_is_byte_identical(self):

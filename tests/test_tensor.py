@@ -244,6 +244,14 @@ class TestSoftmax:
         naive = np.exp(x) / np.exp(x).sum(axis=1, keepdims=True)
         assert_close(tensor.softmax_rows(x), naive, rel=1e-14)
 
+    def test_input_left_unchanged_and_unshared(self):
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((4, 7))
+        before = x.tobytes()
+        out = tensor.softmax_rows(x)
+        assert x.tobytes() == before
+        assert not np.shares_memory(out, x)
+
 
 class TestConv3d:
     def test_delta_kernel_identity(self):
