@@ -109,6 +109,9 @@ def resize_bilinear(video, out_h, out_w):
     neighbour rows (or columns) ``a`` and ``b`` and forms the lerp
     ``a + (b - a) * f`` in place in ``b``, so a pass holds two gathered
     arrays and no product temporaries, and the input is never modified.
+    The W pass spreads its weights over the channels, to ``(out_w, c)``,
+    so the product's inner loop runs over whole rows rather than over the
+    ``c`` channels of one pixel.
     """
     check_tensor(video, rank=4, name="video")
     t, h, w, c = video.shape
@@ -128,8 +131,12 @@ def resize_bilinear(video, out_h, out_w):
         frac = (centers - lo).astype(video.dtype)
         out = np.take(src, hi, axis=axis)
         low = np.take(src, lo, axis=axis)
+        if axis == 1:
+            weights = frac.reshape(out_extent, 1, 1)
+        else:
+            weights = np.repeat(frac, c).reshape(out_extent, c)
         out -= low
-        out *= frac.reshape((out_extent,) + (1,) * (src.ndim - axis - 1))
+        out *= weights
         out += low
         return out
 

@@ -17,6 +17,7 @@ manifest.  Loading into a wider precision (single to double, exact) must be
 requested explicitly; narrowing is always refused.
 """
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -81,8 +82,13 @@ def _ffn_specs(prefix, d, hidden):
             WeightSpec(f"{prefix}.b2", (d,), "zeros")]
 
 
+@functools.lru_cache(maxsize=32)
 def expected_entries(cfg):
-    """Canonical parameter list for a configuration, in container order."""
+    """Canonical parameter table for a configuration, in container order.
+
+    A tuple of frozen specs, built once per (frozen, hashable)
+    configuration and shared by every later call with an equal one.
+    """
     d, c = cfg.hidden, cfg.channels
     kt = cfg.lt_kernel
     hidden = cfg.ffn_hidden
@@ -115,7 +121,7 @@ def expected_entries(cfg):
     specs += [WeightSpec("fusion.beta", (1, d), "zeros"),
               WeightSpec("fusion.proj", (d, cfg.num_classes), "uniform", d),
               WeightSpec("fusion.bias", (cfg.num_classes,), "zeros")]
-    return specs
+    return tuple(specs)
 
 
 def param_count(cfg):

@@ -355,6 +355,22 @@ class TestInfer:
         assert proc.stdout == ""
         assert "non-finite" in proc.stderr
 
+    @pytest.mark.parametrize("value", (1e160, 1e308))
+    def test_overflowing_clip_exits_4(self, workdir, tmp_path, value):
+        # finite pixels whose square overflows: the layer norms' variance
+        # is infinite, so the tokens turn NaN and no class is reported
+        video = ctf.read_tensor(workdir / "clip.ctf").copy()
+        video[:, 20:24, 30:34, :] = value
+        clip = tmp_path / "huge.ctf"
+        ctf.write_tensor(clip, video)
+        proc = run_cli("infer", "--video", str(clip),
+                       "--detections", str(workdir / "solo.jsonl"),
+                       "--weights", str(workdir / "desk.cwc"))
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert "non-finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestInitWeights:
     def test_creates_loadable_container(self, workdir, tmp_path):

@@ -1,5 +1,6 @@
 """On-disk formats: tensor files, weight containers, flat config text."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -289,6 +290,17 @@ class TestWeightNaming:
             cfg.with_attention(ATTENTION_SELF))}
         assert "global.gs.wq" in gs
         assert "global.attn.wq" not in gs
+
+    def test_spec_table_built_once_per_configuration(self):
+        cfg = desk_preset()
+        table = weights.expected_entries(cfg)
+        assert isinstance(table, tuple)
+        assert weights.expected_entries(desk_preset()) is table
+        other = weights.expected_entries(cfg.with_attention(ATTENTION_EAA))
+        assert other is not table
+        assert [s.name for s in other] != [s.name for s in table]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table[0].name = "renamed"
 
     def test_init_deterministic_and_structured(self):
         cfg = tiny_config()

@@ -1,7 +1,11 @@
 """Model assembly: binding, resampling, backbone, staged full forward."""
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuenet import fusion as fusion_ops
 from cuenet import model, weights
@@ -16,7 +20,7 @@ from cuenet.instrument import (UNATTRIBUTED, MacCounter, counting,
                                record_shape, tracing)
 from cuenet.tensor import conv3d
 
-from util import assert_close, resize_oracle
+from util import assert_close, resize_oracle, resize_reference
 
 
 def small_config(**overrides):
@@ -123,6 +127,23 @@ class TestResize:
     def test_rejects_empty_target(self):
         with pytest.raises(ConfigError):
             model.resize_bilinear(np.zeros((1, 4, 4, 1)), 0, 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           dtype=st.sampled_from((np.float32, np.float64)),
+           extents=st.tuples(st.integers(1, 3), st.integers(1, 12),
+                             st.integers(1, 12), st.integers(1, 4)),
+           target=st.tuples(st.integers(1, 24), st.integers(1, 24)))
+    def test_matches_per_axis_weight_reference_bytes(self, seed, dtype,
+                                                     extents, target):
+        # up- and downsampling in either axis; the channel-spread W weights
+        # give the bytes of the per-axis broadcast
+        video = np.random.default_rng(seed).standard_normal(extents) \
+            .astype(dtype)
+        got = model.resize_bilinear(video, *target)
+        want = resize_reference(video, *target)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestBackbone:
@@ -342,6 +363,36 @@ class TestForward:
         logits = model.forward(video, None, container, cfg)
         assert logits.dtype == np.float32
         assert logits.shape == (2,)
+
+
+class TestHotPath:
+    def test_forward_calls_no_numpy_padding_or_window_helper(self,
+                                                             monkeypatch):
+        # the per-clip path builds its own padded buffers and window views;
+        # any call of the numpy helpers, under any imported name, raises
+        originals = (np.pad, np.lib.stride_tricks.sliding_window_view)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy helper called on the clip path")
+
+        monkeypatch.setattr(np, "pad", refuse)
+        monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view",
+                            refuse)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "cuenet":
+                for attr, value in list(vars(module).items()):
+                    if any(value is original for original in originals):
+                        monkeypatch.setattr(module, attr, refuse)
+        cfg = desk_preset()
+        rng = np.random.default_rng(70)
+        video = random_clip(rng, cfg, height=40, width=56)
+        lines = "".join(f'{{"frame": {t}, "boxes": [[2, 3, 20, 30], '
+                        f'[10, 5, 50, 36]]}}\n' for t in range(cfg.frames))
+        detections = parse_detections(lines, 40, 56)
+        logits = model.forward(video, detections, weights.init_weights(cfg),
+                               cfg)
+        assert logits.shape == (cfg.num_classes,)
+        assert np.all(np.isfinite(logits))
 
 
 class TestExpectedTrace:

@@ -4,13 +4,31 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cuenet import tensor
 from cuenet.errors import ParamError, ShapeError
 from cuenet.instrument import MacCounter, counting
 
-from util import assert_close, conv3d_oracle, dwconv3d_oracle, matmul_oracle
+from util import (assert_close, conv3d_oracle, conv3d_reference,
+                  dwconv3d_oracle, dwconv3d_reference, layer_norm_reference,
+                  matmul_oracle)
+
+REFERENCE_CASES = settings(max_examples=60, deadline=None)
+dtypes = st.sampled_from((np.float32, np.float64))
+odd_extents = st.sampled_from((1, 3, 5))
+
+
+def draw_volume(seed, shape, dtype, strided):
+    """A seeded (T,H,W,C) volume; ``strided`` takes every other row of a
+    taller one, so the input is not contiguous."""
+    rng = np.random.default_rng(seed)
+    if not strided:
+        return rng.standard_normal(shape).astype(dtype)
+    t, h, w, c = shape
+    return rng.standard_normal((t, 2 * h, w, c)).astype(dtype)[:, ::2]
 
 
 class TestMatmul:
@@ -200,6 +218,21 @@ class TestLayerNorm:
             tensor.layer_norm(np.zeros((1, 2)), np.ones(2), np.zeros(2),
                               eps=0.0)
 
+    @pytest.mark.parametrize("dtype, huge", ((np.float64, 1e160),
+                                             (np.float64, 1e308),
+                                             (np.float32, 1e30)))
+    def test_overflowing_variance_row_comes_out_nan(self, dtype, huge):
+        # the square of ``huge`` overflows, so the row's variance is
+        # infinite: the row must not pass on as finite (zeroed) values
+        x = np.array([[huge, 1.0, 2.0, 3.0], [0.5, -1.0, 2.0, 4.0]],
+                     dtype=dtype)
+        gamma, beta = np.ones(4, dtype=dtype), np.zeros(4, dtype=dtype)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = tensor.layer_norm(x, gamma, beta)
+        assert np.all(np.isnan(out[0]))
+        finite = layer_norm_reference(x[1:], gamma, beta)
+        assert out[1:].tobytes() == finite.tobytes()
+
 
 class TestGelu:
     def test_zero(self):
@@ -376,6 +409,116 @@ class TestDwconv3d:
         with counting(counter):
             tensor.dwconv3d(x, kernel)
         assert counter.total == x.size * 3
+
+
+class TestByteReferences:
+    """The hand-built buffers, window views and statistics give the bytes of
+    the numpy-helper formulations in ``util``."""
+
+    @REFERENCE_CASES
+    @given(seed=st.integers(0, 2 ** 32 - 1), dtype=dtypes,
+           window=st.tuples(odd_extents, odd_extents, odd_extents),
+           extents=st.tuples(st.integers(1, 6), st.integers(1, 6),
+                             st.integers(1, 6), st.integers(1, 4)),
+           strided=st.booleans())
+    def test_dwconv3d(self, seed, dtype, window, extents, strided):
+        x = draw_volume(seed, extents, dtype, strided)
+        kernel = np.random.default_rng(seed + 1).standard_normal(
+            window + extents[3:]).astype(dtype)
+        got = tensor.dwconv3d(x, kernel)
+        want = dwconv3d_reference(x, kernel)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @REFERENCE_CASES
+    @given(seed=st.integers(0, 2 ** 32 - 1), dtype=dtypes,
+           window=st.tuples(odd_extents, odd_extents, odd_extents),
+           stride=st.tuples(st.integers(1, 3), st.integers(1, 3),
+                            st.integers(1, 3)),
+           padding=st.tuples(st.integers(0, 2), st.integers(0, 2),
+                             st.integers(0, 2)),
+           slack=st.tuples(st.integers(0, 5), st.integers(0, 5),
+                           st.integers(0, 5)),
+           channels=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+           strided=st.booleans())
+    def test_conv3d(self, seed, dtype, window, stride, padding, slack,
+                    channels, strided):
+        extents = tuple(max(1, k - 2 * p) + s
+                        for k, p, s in zip(window, padding, slack))
+        x = draw_volume(seed, extents + channels[:1], dtype, strided)
+        kernel = np.random.default_rng(seed + 1).standard_normal(
+            window + channels).astype(dtype)
+        got = tensor.conv3d(x, kernel, stride=stride, padding=padding)
+        want = conv3d_reference(x, kernel, stride, padding)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @REFERENCE_CASES
+    @given(seed=st.integers(0, 2 ** 32 - 1), dtype=dtypes,
+           rows=st.integers(1, 12), d=st.integers(1, 80),
+           scale=st.sampled_from((1e-3, 1.0, 1e3)),
+           offset=st.sampled_from((0.0, 1.0, -50.0)),
+           strided=st.booleans())
+    def test_layer_norm(self, seed, dtype, rows, d, scale, offset, strided):
+        rng = np.random.default_rng(seed)
+        x = (offset + scale * rng.standard_normal((rows, 2 * d)))
+        x = (x[:, ::2] if strided else x[:, :d]).astype(dtype)
+        gamma = rng.standard_normal(d).astype(dtype)
+        beta = rng.standard_normal(d).astype(dtype)
+        got = tensor.layer_norm(x, gamma, beta)
+        want = layer_norm_reference(x, gamma, beta)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+class TestWindowViews:
+    """Both convolutions read their input through a read-only window view
+    and never write it."""
+
+    @pytest.fixture
+    def views(self, monkeypatch):
+        made = []
+
+        def recording(*args):
+            view = window_view(*args)
+            made.append(view)
+            return view
+
+        window_view = tensor._window_view
+        monkeypatch.setattr(tensor, "_window_view", recording)
+        return made
+
+    @pytest.mark.parametrize("padding", ((0, 0, 0), (1, 0, 0), (1, 2, 1)))
+    def test_conv3d(self, views, padding):
+        rng = np.random.default_rng(40)
+        x = rng.standard_normal((4, 12, 10, 2))[:, ::2]
+        kernel = rng.standard_normal((3, 3, 3, 2, 4))
+        before = x.tobytes()
+        tensor.conv3d(x, kernel, stride=(1, 2, 2), padding=padding)
+        assert x.tobytes() == before
+        assert len(views) == 1
+        assert not views[0].flags.writeable
+        with pytest.raises(ValueError):
+            views[0][(0,) * views[0].ndim] = 1.0
+
+    def test_dwconv3d(self, views):
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((4, 5, 6, 3))
+        kernel = rng.standard_normal((3, 3, 3, 3))
+        before = x.tobytes()
+        tensor.dwconv3d(x, kernel)
+        assert x.tobytes() == before
+        assert len(views) == 1
+        assert not views[0].flags.writeable
+
+    def test_view_matches_sliding_window_view(self):
+        from numpy.lib.stride_tricks import sliding_window_view
+        x = np.arange(2 * 9 * 7 * 3, dtype=np.float64).reshape(
+            2, 9, 7, 3)[:, ::2]
+        got = tensor._window_view(x, (1, 2), (3, 2), (2, 3))
+        want = sliding_window_view(x, (3, 2), axis=(1, 2))[:, ::2, ::3]
+        assert got.shape == want.shape and got.strides == want.strides
+        assert np.array_equal(got, want)
 
 
 class TestPrecisionNames:

@@ -1,13 +1,20 @@
-"""Shared test helpers: error metrics and independent loop oracles.
+"""Shared test helpers: error metrics, loop oracles and byte references.
 
 The oracles deliberately avoid the package's vectorized kernels: plain
 Python loops over list-of-lists data, so an agreement check exercises two
 genuinely different computation routes.
+
+The ``*_reference`` functions are the earlier numpy formulations of kernels
+that now build their buffers and views by hand (``np.pad``,
+``sliding_window_view``, ``x.mean``/``x.var``, a per-axis weight
+broadcast).  They do the same arithmetic in the same order, so the rewritten
+kernels must match them byte for byte, not only within a tolerance.
 """
 
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def rel_err(a, b):
@@ -113,6 +120,71 @@ def resize_oracle(video, out_h, out_w):
                                + video[:, y1, x0] * fy * (1 - fx)
                                + video[:, y1, x1] * fy * fx)
     return out
+
+
+def conv3d_reference(x, kernel, stride, padding=(0, 0, 0)):
+    """``tensor.conv3d`` on ``np.pad`` and ``sliding_window_view``."""
+    kt, kh, kw, c_in, c_out = kernel.shape
+    pt, ph, pw = padding
+    st, sh, sw = stride
+    t = x.shape[0]
+    if ph or pw:
+        x = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    windows = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]
+    h_out, w_out = windows.shape[1:3]
+    rows = np.zeros((t + 2 * pt, h_out * w_out, kh * kw * c_in),
+                    dtype=x.dtype)
+    rows[pt:pt + t].reshape(t, h_out, w_out, kh, kw, c_in)[...] = \
+        windows.transpose(0, 1, 2, 4, 5, 3)
+    taps = kernel.reshape(kt, kh * kw * c_in, c_out)
+    t_out = (t + 2 * pt - kt) // st + 1
+    span = (t_out - 1) * st + 1
+    out = rows[0:span:st] @ taps[0]
+    for dt in range(1, kt):
+        out += rows[dt:dt + span:st] @ taps[dt]
+    return out.reshape(t_out, h_out, w_out, c_out)
+
+
+def dwconv3d_reference(x, kernel):
+    """``tensor.dwconv3d`` on ``np.pad``, ``sliding_window_view`` and an
+    einsum over the window view."""
+    kt, kh, kw, _ = kernel.shape
+    padded = np.pad(x, ((kt // 2, kt // 2), (kh // 2, kh // 2),
+                        (kw // 2, kw // 2), (0, 0)))
+    windows = sliding_window_view(padded, (kt, kh, kw), axis=(0, 1, 2))
+    return np.einsum("thwcijk,ijkc->thwc", windows, kernel)
+
+
+def layer_norm_reference(x, gamma, beta, eps=1e-6):
+    """``tensor.layer_norm`` on numpy's ``mean`` and ``var``."""
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    normed = (x - mean) / np.sqrt(var + x.dtype.type(eps))
+    return normed * gamma + beta
+
+
+def resize_reference(video, out_h, out_w):
+    """``model.resize_bilinear`` with each pass's weights broadcast from
+    ``frac.reshape(out_extent, 1, ...)``."""
+    if video.shape[1:3] == (out_h, out_w):
+        return video
+
+    def resample(src, axis, out_extent):
+        in_extent = src.shape[axis]
+        centers = (np.arange(out_extent) + 0.5) * (in_extent / out_extent) \
+            - 0.5
+        centers = np.clip(centers, 0.0, in_extent - 1.0)
+        lo = np.floor(centers).astype(np.int64)
+        hi = np.minimum(lo + 1, in_extent - 1)
+        frac = (centers - lo).astype(video.dtype)
+        out = np.take(src, hi, axis=axis)
+        low = np.take(src, lo, axis=axis)
+        out -= low
+        out *= frac.reshape((out_extent,) + (1,) * (src.ndim - axis - 1))
+        out += low
+        return out
+
+    return resample(resample(video, 1, out_h), 2, out_w)
 
 
 def meaa_oracle(q_normed, tokens, p, pooled=True):
