@@ -388,108 +388,64 @@ def _central_difference(objective, array, eps):
     return grad
 
 
-class _GroupStats:
-    def __init__(self):
-        self.max_abs = 0.0
-        self.max_rel = 0.0
-        self.ok = True
-        self.count = 0
+def _meaa_instance(rng):
+    n = int(rng.integers(1, 7))
+    d = int(rng.integers(3, 9))
+    inst_rng = np.random.default_rng(rng.integers(0, 2 ** 63))
+    draw = inst_rng.standard_normal
+    q_normed = draw((1, d))
+    x = draw((n, d))
+    params = attention.AdditiveParams(
+        q=None, wq=draw((d, d)), wk=draw((d, d)), w_a=draw(d),
+        w1=draw((d, d)), b1=draw(d), w2=draw((d, d)), b2=draw(d))
+    upstream = draw((1, d))
 
-    def update(self, analytic, numeric, tol):
-        diff = np.abs(analytic - numeric)
-        self.max_abs = max(self.max_abs, float(diff.max(initial=0.0)))
-        denom = np.maximum(np.abs(numeric), 1.0)
-        self.max_rel = max(self.max_rel, float((diff / denom).max(initial=0.0)))
-        if not np.allclose(analytic, numeric, rtol=tol, atol=tol):
-            self.ok = False
-        self.count += 1
+    def objective():
+        return float((upstream * attention.meaa(q_normed, x, params)).sum())
 
-
-def _check_meaa(eps, tol, instances, seed):
-    stats = {name: _GroupStats() for name in
-             ("q", "wq", "wk", "w_a", "w1", "b1", "w2", "b2")}
-    rng = np.random.default_rng(seed)
-    for _ in range(instances):
-        n = int(rng.integers(1, 7))
-        d = int(rng.integers(3, 9))
-        inst_rng = np.random.default_rng(rng.integers(0, 2 ** 63))
-        q_normed = inst_rng.standard_normal((1, d))
-        x = inst_rng.standard_normal((n, d))
-        params = attention.AdditiveParams(
-            q=None, wq=inst_rng.standard_normal((d, d)),
-            wk=inst_rng.standard_normal((d, d)),
-            w_a=inst_rng.standard_normal(d),
-            w1=inst_rng.standard_normal((d, d)),
-            b1=inst_rng.standard_normal(d),
-            w2=inst_rng.standard_normal((d, d)),
-            b2=inst_rng.standard_normal(d))
-        upstream = inst_rng.standard_normal((1, d))
-
-        def objective():
-            return float((upstream
-                          * attention.meaa(q_normed, x, params)).sum())
-
-        grads = attention.meaa_grad(q_normed, x, params, upstream)
-        targets = {"q": (q_normed, grads.q), "wq": (params.wq, grads.wq),
-                   "wk": (params.wk, grads.wk), "w_a": (params.w_a,
-                                                        grads.w_a),
-                   "w1": (params.w1, grads.w1), "b1": (params.b1, grads.b1),
-                   "w2": (params.w2, grads.w2), "b2": (params.b2, grads.b2)}
-        for name, (array, analytic) in targets.items():
-            numeric = _central_difference(objective, array, eps)
-            stats[name].update(np.asarray(analytic).reshape(numeric.shape),
-                               numeric, tol)
-    return stats
+    grads = attention.meaa_grad(q_normed, x, params, upstream)
+    targets = {"q": (q_normed, grads.q)}
+    for group in ("wq", "wk", "w_a", "w1", "b1", "w2", "b2"):
+        targets[group] = (getattr(params, group), getattr(grads, group))
+    return objective, targets
 
 
-def _check_fuse(eps, tol, instances, seed):
-    stats = {"beta": _GroupStats()}
-    rng = np.random.default_rng(seed)
-    for _ in range(instances):
-        d = int(rng.integers(2, 9))
-        inst_rng = np.random.default_rng(rng.integers(0, 2 ** 63))
-        global_vec = inst_rng.standard_normal((1, d))
-        local_vec = inst_rng.standard_normal((1, d))
-        beta = inst_rng.standard_normal((1, d))
-        upstream = inst_rng.standard_normal((1, d))
+def _fuse_instance(rng):
+    d = int(rng.integers(2, 9))
+    inst_rng = np.random.default_rng(rng.integers(0, 2 ** 63))
+    global_vec, local_vec, beta, upstream = inst_rng.standard_normal(
+        (4, 1, d))
 
-        def objective():
-            return float((upstream * fuse(global_vec, local_vec, beta)).sum())
+    def objective():
+        return float((upstream * fuse(global_vec, local_vec, beta)).sum())
 
-        _, _, g_beta = fuse_grad(global_vec, local_vec, beta, upstream)
-        numeric = _central_difference(objective, beta, eps)
-        stats["beta"].update(g_beta, numeric, tol)
-    return stats
+    _, _, g_beta = fuse_grad(global_vec, local_vec, beta, upstream)
+    return objective, {"beta": (beta, g_beta)}
 
 
-def _check_classify(eps, tol, instances, seed):
-    stats = {"proj": _GroupStats(), "bias": _GroupStats()}
-    rng = np.random.default_rng(seed)
-    for _ in range(instances):
-        d = int(rng.integers(2, 9))
-        classes = int(rng.integers(2, 5))
-        inst_rng = np.random.default_rng(rng.integers(0, 2 ** 63))
-        z = inst_rng.standard_normal((1, d))
-        params = FusionParams(beta=np.zeros((1, d)),
-                              proj=inst_rng.standard_normal((d, classes)),
-                              bias=inst_rng.standard_normal(classes))
-        upstream = inst_rng.standard_normal(classes)
+def _classify_instance(rng):
+    d = int(rng.integers(2, 9))
+    classes = int(rng.integers(2, 5))
+    inst_rng = np.random.default_rng(rng.integers(0, 2 ** 63))
+    z = inst_rng.standard_normal((1, d))
+    params = FusionParams(beta=np.zeros((1, d)),
+                          proj=inst_rng.standard_normal((d, classes)),
+                          bias=inst_rng.standard_normal(classes))
+    upstream = inst_rng.standard_normal(classes)
 
-        def objective():
-            return float((upstream * classify(z, params)).sum())
+    def objective():
+        return float((upstream * classify(z, params)).sum())
 
-        _, g_proj, g_bias = classify_grad(z, params, upstream)
-        stats["proj"].update(g_proj,
-                             _central_difference(objective, params.proj, eps),
-                             tol)
-        stats["bias"].update(g_bias,
-                             _central_difference(objective, params.bias, eps),
-                             tol)
-    return stats
+    _, g_proj, g_bias = classify_grad(z, params, upstream)
+    return objective, {"proj": (params.proj, g_proj),
+                       "bias": (params.bias, g_bias)}
 
 
-_GRAD_MODULES = {"meaa": _check_meaa, "fuse": _check_fuse,
-                 "classify": _check_classify}
+# Each draws one random instance from the module's generator and returns
+# its scalar objective and, per gradient group, the array the objective
+# reads and the analytic gradient of the objective with respect to it.
+_GRAD_MODULES = {"meaa": _meaa_instance, "fuse": _fuse_instance,
+                 "classify": _classify_instance}
 
 
 def grad_check(modules=("meaa", "fuse", "classify"), eps=1e-5, tol=1e-4,
@@ -509,9 +465,21 @@ def grad_check(modules=("meaa", "fuse", "classify"), eps=1e-5, tol=1e-4,
         if module not in _GRAD_MODULES:
             raise ParamError(f"unknown gradient module {module!r}; expected "
                              f"one of {sorted(_GRAD_MODULES)}")
-        stats = _GRAD_MODULES[module](eps, tol, instances, seed)
-        for group, s in stats.items():
+        rng = np.random.default_rng(seed)
+        checked = {}  # group -> [(analytic, numeric)], one per instance
+        for _ in range(instances):
+            objective, targets = _GRAD_MODULES[module](rng)
+            for group, (array, analytic) in targets.items():
+                numeric = _central_difference(objective, array, eps)
+                checked.setdefault(group, []).append((analytic, numeric))
+        for group, pairs in checked.items():
+            errors = [(np.abs(a - n), np.maximum(np.abs(n), 1.0))
+                      for a, n in pairs]
             report.rows.append(GradCheckRow(
-                module=module, group=group, instances=s.count,
-                max_abs_err=s.max_abs, max_rel_err=s.max_rel, ok=s.ok))
+                module=module, group=group, instances=len(pairs),
+                max_abs_err=max(float(diff.max()) for diff, _ in errors),
+                max_rel_err=max(float((diff / scale).max())
+                                for diff, scale in errors),
+                ok=all(np.allclose(a, n, rtol=tol, atol=tol)
+                       for a, n in pairs)))
     return report

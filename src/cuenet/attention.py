@@ -155,11 +155,11 @@ def attention_scalar(q_star, w_a):
     return scale(raw, 1.0 / math.sqrt(d)).reshape(q_star.shape[:-1] + (1,))
 
 
-def _project_rows(fused, residual, residual_name, p, pool):
+def _project_rows(fused, residual, p, pool):
     """Shared tail of the additive kernels: two projections, optional mean.
 
-    ``fused`` is a (t, n, d) stack.  ``residual`` (live in the memory meter
-    as ``residual_name``) broadcasts against it, is added after the first
+    ``fused`` is a (t, n, d) stack.  ``residual``, the query (live in the
+    memory meter as ``q``), broadcasts against it, is added after the first
     projection and is released with ``fused``.  Returns the (t, n, d) rows,
     or with ``pool`` the (1, d) mean of a one-frame stack's rows.
     """
@@ -169,7 +169,7 @@ def _project_rows(fused, residual, residual_name, p, pool):
     hidden += residual
     meter_alloc("hidden", hidden.size)
     meter_free("fused")
-    meter_free(residual_name)
+    meter_free("q")
     rows = matmul(hidden.reshape(-1, d), p.w2)
     rows += p.b2
     meter_alloc("rows", rows.size)
@@ -199,7 +199,7 @@ def meaa(q_normed, tokens, p, pool=True):
                          f"{tokens.shape}; expected (1, {d})")
     # the query path needs no tokens, yet runs per frame as count_flops prices
     q_star = bmm(np.broadcast_to(q_normed, (t, 1, d)), p.wq[None])
-    meter_alloc("q_star", q_star.size)
+    meter_alloc("q", q_star.size)
     k = matmul(stack.reshape(-1, d), p.wk)
     meter_alloc("k", k.size)
     alpha = attention_scalar(q_star, p.w_a)
@@ -213,7 +213,7 @@ def meaa(q_normed, tokens, p, pool=True):
     meter_free("k")
     meter_free("q_gated")
     del k, q_gated
-    out = _project_rows(fused, q_star, "q_star", p, pool)
+    out = _project_rows(fused, q_star, p, pool)
     return out if pool else out.reshape(tokens.shape)
 
 
@@ -310,7 +310,7 @@ def eaa_original(tokens, p, pool=True):
     meter_free("k")
     meter_free("q_global")
     del weights, k, q_global
-    out = _project_rows(fused, q, "q", p, pool)
+    out = _project_rows(fused, q, p, pool)
     return out if pool else out.reshape(tokens.shape)
 
 

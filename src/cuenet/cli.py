@@ -5,7 +5,8 @@ Subcommands: ``crop``, ``infer``, ``init-weights``, ``flops``, ``bench``,
 (missing or unreadable files, undecodable text, bad streams, clips holding
 NaN or an infinity, bad flags),
 3 invalid configuration, shape, or parameter, 4 failed runtime verification
-(including non-finite inference logits).
+(including an overflow or invalid operation inside the network and
+non-finite inference logits).
 
 Thread-pool environment variables for the numeric backend are pinned to one
 worker before the backend loads (existing values are respected), so results
@@ -169,7 +170,13 @@ def cmd_infer(args):
                              allow_widen=args.precision is not None)
     decision = crop.compute_crop_box(sequence)
     cropped = crop.apply_crop(video, decision)
-    logits = model.forward(cropped, None, container, cfg)
+    # overflow anywhere in the network fails the run; underflow stays silent
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            logits = model.forward(cropped, None, container, cfg)
+    except FloatingPointError as exc:
+        raise VerificationError(f"inference produced non-finite values "
+                                f"({exc})") from None
     if not np.all(np.isfinite(logits)):
         raise VerificationError("inference produced non-finite logits")
     probs = fusion.probabilities(logits)

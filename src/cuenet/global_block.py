@@ -69,23 +69,23 @@ def row_ffn(x, p, ln):
     return x + matmul(hidden, p.w2) + p.b2
 
 
-def global_uniblock_forward(field, p, heads, stage_prefix="global"):
+def global_uniblock_forward(field, p, heads):
     """Reduce a token field to one (1, d) clip vector.
 
-    Each sub-unit's work is counted under ``{stage_prefix}.dpe|attn|ffn``;
+    Each sub-unit's work is counted under ``global.dpe|attn|ffn``, and
     intermediate shapes go to the active trace as ``global.*``.
     """
-    with stage(f"{stage_prefix}.dpe"):
+    with stage("global.dpe"):
         field = dpe(field, p.dpe_kernel)
     record_shape("global.dpe", field.data)
-    with stage(f"{stage_prefix}.attn"):
+    with stage("global.attn"):
         tokens = layer_norm(field.flat(), p.ln_tokens.gamma,
                             p.ln_tokens.beta)
         record_shape("global.tokens", tokens)
         pooled = attention.attend(p.attn_kind, tokens, p.attn, heads,
                                   pool=True)
     record_shape("global.pooled", pooled)
-    with stage(f"{stage_prefix}.ffn"):
+    with stage("global.ffn"):
         refined = row_ffn(pooled, p.ffn, p.ln_ffn)
     record_shape("global.out", refined)
     return refined

@@ -16,85 +16,17 @@ frame's spatial tokens.
 intermediate; this doubles as the hook for shape verification.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import fusion as fusion_ops
-from .attention import (ATTENTION_MEAA, ATTENTION_SELF, AdditiveParams,
-                        MhsaParams)
-from .blocks import (FfnParams, LocalBlockParams, LtParams, TokenField,
-                     local_uniblock_forward)
+from .blocks import TokenField, local_uniblock_forward
 from .config import PATCH, TEMPORAL_KERNEL
 from .crop import apply_crop, compute_crop_box
 from .errors import ConfigError
-from .global_block import GlobalBlockParams, global_uniblock_forward
+from .global_block import global_uniblock_forward
 from .instrument import record_shape, stage, tracing
-from .tensor import LnParams, check_tensor, conv3d, dtype_of
-from .weights import attention_prefix, validate_container
-
-
-@dataclass
-class ModelParams:
-    """Weight container contents bound into typed parameter groups."""
-
-    patch_kernel: np.ndarray
-    patch_bias: np.ndarray
-    class_token: np.ndarray
-    local_blocks: list
-    global_block: GlobalBlockParams
-    fusion: fusion_ops.FusionParams
-
-
-def bind_parameters(container, cfg):
-    """Resolve a validated weight container into :class:`ModelParams`."""
-    validate_container(container, cfg)
-    e = container.entries
-
-    def ln(prefix):
-        return LnParams(gamma=e[f"{prefix}.gamma"], beta=e[f"{prefix}.beta"])
-
-    def ffn(prefix):
-        return FfnParams(w1=e[f"{prefix}.w1"], b1=e[f"{prefix}.b1"],
-                         w2=e[f"{prefix}.w2"], b2=e[f"{prefix}.b2"])
-
-    def attention_group(base, kind):
-        prefix = attention_prefix(base, kind)
-        if kind == ATTENTION_SELF:
-            return MhsaParams(wq=e[f"{prefix}.wq"], wk=e[f"{prefix}.wk"],
-                              wv=e[f"{prefix}.wv"], fuse=e[f"{prefix}.fuse"])
-        modified = kind == ATTENTION_MEAA
-        return AdditiveParams(
-            q=e[f"{prefix}.q"] if modified else None,
-            wq=e[f"{prefix}.wq"], wk=e[f"{prefix}.wk"],
-            w_a=e[f"{prefix}.w_a"], w1=e[f"{prefix}.w1"],
-            b1=e[f"{prefix}.b1"], w2=e[f"{prefix}.w2"], b2=e[f"{prefix}.b2"],
-            q_ln=ln(f"{prefix}.q_ln") if modified else None)
-
-    local_blocks = []
-    for i, kind in enumerate(cfg.local_attention):
-        base = f"local{i}"
-        local_blocks.append(LocalBlockParams(
-            ln1=ln(f"{base}.ln1"),
-            lt=LtParams(value=e[f"{base}.lt.value"],
-                        kernel=e[f"{base}.lt.kernel"],
-                        fuse=e[f"{base}.lt.fuse"]),
-            ln2=ln(f"{base}.ln2"), attn_kind=kind,
-            attn=attention_group(base, kind), ln3=ln(f"{base}.ln3"),
-            ffn=ffn(f"{base}.ffn")))
-    global_block = GlobalBlockParams(
-        dpe_kernel=e["global.dpe.kernel"], ln_tokens=ln("global.ln_tokens"),
-        attn_kind=cfg.global_attention,
-        attn=attention_group("global", cfg.global_attention),
-        ln_ffn=ln("global.ln_ffn"), ffn=ffn("global.ffn"))
-    return ModelParams(
-        patch_kernel=e["backbone.conv.kernel"],
-        patch_bias=e["backbone.conv.bias"],
-        class_token=e["backbone.class_token"],
-        local_blocks=local_blocks, global_block=global_block,
-        fusion=fusion_ops.FusionParams(beta=e["fusion.beta"],
-                                       proj=e["fusion.proj"],
-                                       bias=e["fusion.bias"]))
+from .tensor import check_tensor, conv3d, dtype_of
+from .weights import bind_parameters
 
 
 def resize_bilinear(video, out_h, out_w):

@@ -1,9 +1,13 @@
 """Weight naming, initialization, and the binary weight container.
 
 Every model parameter has a dotted name derived from its position in the
-network; :func:`expected_entries` lists them in canonical order for a given
-configuration.  Initialization draws from a single seeded generator in that
-order, so equal configurations produce bit-identical containers.
+network.  :func:`layout` is the one place the layout is written: one walk
+in canonical order names each entry, gives its extents and init rule, and
+builds the typed parameter groups.  :func:`expected_entries` records it as
+a table; :func:`bind_parameters` runs it over a container, so checking and
+binding are one pass.  Initialization draws from a single seeded generator
+in canonical order, so equal configurations produce bit-identical
+containers.
 
 Container layout, all integers little-endian:
 
@@ -24,10 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ctf
-from .attention import ATTENTION_MEAA, ATTENTION_SELF
+from .attention import (ATTENTION_MEAA, ATTENTION_SELF, AdditiveParams,
+                        MhsaParams)
+from .blocks import FfnParams, LocalBlockParams, LtParams
 from .config import DPE_KERNEL, PATCH, TEMPORAL_KERNEL
 from .errors import ConfigError, FormatError
-from .tensor import dtype_of, precision_of
+from .fusion import FusionParams
+from .global_block import GlobalBlockParams
+from .tensor import LnParams, dtype_of, precision_of
 
 MAGIC = b"CWC1"
 VERSION = 1
@@ -45,41 +53,88 @@ class WeightSpec:
     fan_in: int = 0    # uniform rule only
 
 
-def attention_prefix(base, kind):
-    """Entry-name prefix of block ``base``'s ``kind`` attention group."""
-    return f"{base}.gs" if kind == ATTENTION_SELF else f"{base}.attn"
+@dataclass
+class ModelParams:
+    """Weight container contents bound into typed parameter groups."""
+
+    patch_kernel: np.ndarray
+    patch_bias: np.ndarray
+    class_token: np.ndarray
+    local_blocks: list
+    global_block: GlobalBlockParams
+    fusion: FusionParams
 
 
-def _attention_specs(prefix, kind, d):
-    specs = []
-    if kind == ATTENTION_SELF:
-        for proj in ("wq", "wk", "wv", "fuse"):
-            specs.append(WeightSpec(f"{prefix}.{proj}", (d, d), "uniform", d))
-        return specs
-    if kind == ATTENTION_MEAA:
-        specs.append(WeightSpec(f"{prefix}.q", (1, d), "token"))
-        specs.append(WeightSpec(f"{prefix}.q_ln.gamma", (d,), "ones"))
-        specs.append(WeightSpec(f"{prefix}.q_ln.beta", (d,), "zeros"))
-    specs.append(WeightSpec(f"{prefix}.wq", (d, d), "uniform", d))
-    specs.append(WeightSpec(f"{prefix}.wk", (d, d), "uniform", d))
-    specs.append(WeightSpec(f"{prefix}.w_a", (d,), "uniform", d))
-    specs.append(WeightSpec(f"{prefix}.w1", (d, d), "uniform", d))
-    specs.append(WeightSpec(f"{prefix}.b1", (d,), "zeros"))
-    specs.append(WeightSpec(f"{prefix}.w2", (d, d), "uniform", d))
-    specs.append(WeightSpec(f"{prefix}.b2", (d,), "zeros"))
-    return specs
+def layout(cfg, take):
+    """Walk every parameter of ``cfg`` in container order.
 
+    Calls ``take(name, shape, init, fan_in)`` once per entry (``fan_in`` is
+    0 except for the uniform rule) and returns the :class:`ModelParams`
+    built from what ``take`` returns.  Keyword arguments evaluate left to
+    right, so each group's fields are listed in container order.
+    """
+    d, hidden = cfg.hidden, cfg.ffn_hidden
+    row, square = (d,), (d, d)
 
-def _ln_specs(prefix, d):
-    return [WeightSpec(f"{prefix}.gamma", (d,), "ones"),
-            WeightSpec(f"{prefix}.beta", (d,), "zeros")]
+    def ln(prefix):
+        return LnParams(gamma=take(f"{prefix}.gamma", row, "ones", 0),
+                        beta=take(f"{prefix}.beta", row, "zeros", 0))
 
+    def ffn(prefix):
+        return FfnParams(
+            w1=take(f"{prefix}.w1", (d, hidden), "uniform", d),
+            b1=take(f"{prefix}.b1", (hidden,), "zeros", 0),
+            w2=take(f"{prefix}.w2", (hidden, d), "uniform", hidden),
+            b2=take(f"{prefix}.b2", row, "zeros", 0))
 
-def _ffn_specs(prefix, d, hidden):
-    return [WeightSpec(f"{prefix}.w1", (d, hidden), "uniform", d),
-            WeightSpec(f"{prefix}.b1", (hidden,), "zeros"),
-            WeightSpec(f"{prefix}.w2", (hidden, d), "uniform", hidden),
-            WeightSpec(f"{prefix}.b2", (d,), "zeros")]
+    def attention_group(base, kind):
+        if kind == ATTENTION_SELF:
+            return MhsaParams(*[take(f"{base}.gs.{proj}", square, "uniform", d)
+                                for proj in ("wq", "wk", "wv", "fuse")])
+        prefix = f"{base}.attn"
+        modified = kind == ATTENTION_MEAA
+        return AdditiveParams(
+            q=take(f"{prefix}.q", (1, d), "token", 0) if modified else None,
+            q_ln=ln(f"{prefix}.q_ln") if modified else None,
+            wq=take(f"{prefix}.wq", square, "uniform", d),
+            wk=take(f"{prefix}.wk", square, "uniform", d),
+            w_a=take(f"{prefix}.w_a", row, "uniform", d),
+            w1=take(f"{prefix}.w1", square, "uniform", d),
+            b1=take(f"{prefix}.b1", row, "zeros", 0),
+            w2=take(f"{prefix}.w2", square, "uniform", d),
+            b2=take(f"{prefix}.b2", row, "zeros", 0))
+
+    kt = cfg.lt_kernel
+    return ModelParams(
+        patch_kernel=take("backbone.conv.kernel",
+                          (TEMPORAL_KERNEL, PATCH, PATCH, cfg.channels, d),
+                          "uniform",
+                          TEMPORAL_KERNEL * PATCH * PATCH * cfg.channels),
+        patch_bias=take("backbone.conv.bias", row, "zeros", 0),
+        class_token=take("backbone.class_token", (1, d), "token", 0),
+        local_blocks=[LocalBlockParams(
+            ln1=ln(f"local{i}.ln1"),
+            lt=LtParams(
+                value=take(f"local{i}.lt.value", square, "uniform", d),
+                kernel=take(f"local{i}.lt.kernel", (kt, 1, 1, d), "uniform",
+                            kt),
+                fuse=take(f"local{i}.lt.fuse", square, "uniform", d)),
+            ln2=ln(f"local{i}.ln2"), attn_kind=kind,
+            attn=attention_group(f"local{i}", kind),
+            ln3=ln(f"local{i}.ln3"), ffn=ffn(f"local{i}.ffn"))
+            for i, kind in enumerate(cfg.local_attention)],
+        global_block=GlobalBlockParams(
+            dpe_kernel=take("global.dpe.kernel",
+                            (DPE_KERNEL, DPE_KERNEL, DPE_KERNEL, d),
+                            "uniform", DPE_KERNEL ** 3),
+            ln_tokens=ln("global.ln_tokens"),
+            attn_kind=cfg.global_attention,
+            attn=attention_group("global", cfg.global_attention),
+            ln_ffn=ln("global.ln_ffn"), ffn=ffn("global.ffn")),
+        fusion=FusionParams(
+            beta=take("fusion.beta", (1, d), "zeros", 0),
+            proj=take("fusion.proj", (d, cfg.num_classes), "uniform", d),
+            bias=take("fusion.bias", (cfg.num_classes,), "zeros", 0)))
 
 
 @functools.lru_cache(maxsize=32)
@@ -89,38 +144,8 @@ def expected_entries(cfg):
     A tuple of frozen specs, built once per (frozen, hashable)
     configuration and shared by every later call with an equal one.
     """
-    d, c = cfg.hidden, cfg.channels
-    kt = cfg.lt_kernel
-    hidden = cfg.ffn_hidden
-    specs = [
-        WeightSpec("backbone.conv.kernel",
-                   (TEMPORAL_KERNEL, PATCH, PATCH, c, d), "uniform",
-                   TEMPORAL_KERNEL * PATCH * PATCH * c),
-        WeightSpec("backbone.conv.bias", (d,), "zeros"),
-        WeightSpec("backbone.class_token", (1, d), "token"),
-    ]
-    for i, kind in enumerate(cfg.local_attention):
-        base = f"local{i}"
-        specs += _ln_specs(f"{base}.ln1", d)
-        specs += [WeightSpec(f"{base}.lt.value", (d, d), "uniform", d),
-                  WeightSpec(f"{base}.lt.kernel", (kt, 1, 1, d), "uniform",
-                             kt),
-                  WeightSpec(f"{base}.lt.fuse", (d, d), "uniform", d)]
-        specs += _ln_specs(f"{base}.ln2", d)
-        specs += _attention_specs(attention_prefix(base, kind), kind, d)
-        specs += _ln_specs(f"{base}.ln3", d)
-        specs += _ffn_specs(f"{base}.ffn", d, hidden)
-    specs.append(WeightSpec("global.dpe.kernel",
-                            (DPE_KERNEL, DPE_KERNEL, DPE_KERNEL, d),
-                            "uniform", DPE_KERNEL ** 3))
-    specs += _ln_specs("global.ln_tokens", d)
-    specs += _attention_specs(attention_prefix("global", cfg.global_attention),
-                              cfg.global_attention, d)
-    specs += _ln_specs("global.ln_ffn", d)
-    specs += _ffn_specs("global.ffn", d, hidden)
-    specs += [WeightSpec("fusion.beta", (1, d), "zeros"),
-              WeightSpec("fusion.proj", (d, cfg.num_classes), "uniform", d),
-              WeightSpec("fusion.bias", (cfg.num_classes,), "zeros")]
+    specs = []
+    layout(cfg, lambda *fields: specs.append(WeightSpec(*fields)))
     return tuple(specs)
 
 
@@ -191,25 +216,48 @@ def init_weights(cfg):
     return WeightContainer(entries=entries, precision=cfg.precision)
 
 
-def validate_container(container, cfg):
-    """Check a container holds exactly the expected entries for ``cfg``."""
-    specs = {spec.name: spec for spec in expected_entries(cfg)}
-    have = set(container.entries)
-    missing = sorted(set(specs) - have)
-    unexpected = sorted(have - set(specs))
+def bind_parameters(container, cfg):
+    """Check ``container`` against ``cfg`` and bind it into
+    :class:`ModelParams` in one walk of the layout.
+
+    ``ConfigError`` names, in this order of precedence: every missing
+    entry, the unexpected ones, a precision other than the configured one,
+    the first entry with wrong extents.
+    """
+    entries = container.entries
+    missing, mismatched = [], []
+
+    def take(name, shape, init, fan_in):
+        try:
+            array = entries[name]
+        except KeyError:
+            missing.append(name)
+            return None
+        if array.shape != shape:
+            mismatched.append(f"weight {name!r} has extents "
+                              f"{tuple(array.shape)}, expected {shape}")
+        return array
+
+    params = layout(cfg, take)
     if missing:
-        raise ConfigError(f"weights missing entries: {', '.join(missing)}")
-    if unexpected:
+        raise ConfigError(f"weights missing entries: "
+                          f"{', '.join(sorted(missing))}")
+    specs = expected_entries(cfg)
+    if len(entries) != len(specs):
+        unexpected = sorted(set(entries) - {spec.name for spec in specs})
         raise ConfigError(f"weights hold unexpected entries: "
                           f"{', '.join(unexpected)}")
     if container.precision != cfg.precision:
         raise ConfigError(f"weights are {container.precision} precision but "
                           f"the configuration wants {cfg.precision}")
-    for name, spec in specs.items():
-        shape = container.entries[name].shape
-        if tuple(shape) != spec.shape:
-            raise ConfigError(f"weight {name!r} has extents {tuple(shape)}, "
-                              f"expected {spec.shape}")
+    if mismatched:
+        raise ConfigError(mismatched[0])
+    return params
+
+
+def validate_container(container, cfg):
+    """Check a container holds exactly the expected entries for ``cfg``."""
+    bind_parameters(container, cfg)
 
 
 def container_bytes(container):

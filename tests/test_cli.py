@@ -357,8 +357,8 @@ class TestInfer:
 
     @pytest.mark.parametrize("value", (1e160, 1e308))
     def test_overflowing_clip_exits_4(self, workdir, tmp_path, value):
-        # finite pixels whose square overflows: the layer norms' variance
-        # is infinite, so the tokens turn NaN and no class is reported
+        # finite pixels whose square overflows: the run stops at the first
+        # overflow, and stderr holds the error line alone
         video = ctf.read_tensor(workdir / "clip.ctf").copy()
         video[:, 20:24, 30:34, :] = value
         clip = tmp_path / "huge.ctf"
@@ -370,6 +370,9 @@ class TestInfer:
         assert proc.stdout == ""
         assert "non-finite" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestInitWeights:

@@ -122,8 +122,7 @@ class TestGlobalBlock:
         p = random_global(rng, d, ATTENTION_SELF)
         counter = MacCounter()
         with counting(counter):
-            global_block.global_uniblock_forward(field, p, heads,
-                                                 stage_prefix="global")
+            global_block.global_uniblock_forward(field, p, heads)
         assert set(counter.stages) == {"global.dpe", "global.attn",
                                        "global.ffn"}
         assert counter.stages.get(UNATTRIBUTED, 0) == 0

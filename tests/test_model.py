@@ -1,5 +1,6 @@
 """Model assembly: binding, resampling, backbone, staged full forward."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuenet import fusion as fusion_ops
-from cuenet import model, weights
-from cuenet.attention import AdditiveParams, MhsaParams
+from cuenet import analysis, model, weights
+from cuenet.attention import ATTENTION_KINDS, AdditiveParams, MhsaParams
 from cuenet.blocks import (ATTENTION_EAA, ATTENTION_MEAA, ATTENTION_SELF,
                            local_uniblock_forward)
 from cuenet.config import desk_preset
@@ -18,7 +19,7 @@ from cuenet.errors import BoundsError, ConfigError
 from cuenet.global_block import global_uniblock_forward
 from cuenet.instrument import (UNATTRIBUTED, MacCounter, counting,
                                record_shape, tracing)
-from cuenet.tensor import conv3d
+from cuenet.tensor import conv3d, dtype_of
 
 from util import assert_close, resize_oracle, resize_reference
 
@@ -414,3 +415,50 @@ class TestExpectedTrace:
         assert trace["global.tokens"] == (39, 64)
         assert "local2" in trace
         assert "local3" not in trace
+
+
+def parameter_arrays(node):
+    """Every array held in a bound parameter tree, depth first."""
+    if isinstance(node, np.ndarray):
+        yield node
+    elif isinstance(node, list):
+        for item in node:
+            yield from parameter_arrays(item)
+    elif dataclasses.is_dataclass(node):
+        for f in dataclasses.fields(node):
+            yield from parameter_arrays(getattr(node, f.name))
+
+
+KINDS = st.sampled_from(ATTENTION_KINDS)
+
+
+@st.composite
+def random_configs(draw):
+    depth = draw(st.integers(0, 2))
+    return desk_preset(
+        frames=draw(st.sampled_from((2, 4, 6, 8))),
+        height=16 * draw(st.integers(1, 3)),
+        width=16 * draw(st.integers(1, 3)), local_depth=depth,
+        local_attention=tuple(draw(KINDS) for _ in range(depth)),
+        global_attention=draw(KINDS),
+        precision=draw(st.sampled_from(("single", "double"))))
+
+
+class TestRandomConfigurations:
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=random_configs())
+    def test_bind_work_and_shapes_follow_the_models(self, cfg):
+        container = weights.init_weights(cfg)
+        params = model.bind_parameters(container, cfg)
+        bound = sorted(map(id, parameter_arrays(params)))
+        assert bound == sorted(map(id, container.entries.values()))
+
+        rng = np.random.default_rng(cfg.frames)
+        video = random_clip(rng, cfg).astype(dtype_of(cfg.precision))
+        counter, trace = MacCounter(), {}
+        with counting(counter):
+            model.forward(video, None, container, cfg, trace=trace)
+        assert counter.stages == analysis.count_flops(cfg).stages
+        shape = video.shape
+        assert trace == {"input": shape, "cropped": shape,
+                         **model.expected_trace(cfg)}
