@@ -28,13 +28,18 @@ double volume ``np.pad`` takes about 27 us per call against 6 us for the
 buffer, and ``sliding_window_view`` about 9 us against 5 us for the view
 (numpy 2.4, one core of a 2-vCPU Xeon).  The view is read-only, so no
 caller can write through it into the input.
+
+The two nonlinearities pick their code by the input's precision.  Double
+precision uses ``scipy.special`` (``erf`` for :func:`gelu`, ``expit`` for
+:func:`sigmoid`), imported at the first double-precision call; single
+precision uses numpy alone, so a single-precision process never imports
+scipy.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.special import erf, expit
 
 from .errors import ParamError, ShapeError
 from .instrument import add_macs
@@ -301,12 +306,56 @@ def layer_norm(x, gamma, beta, eps=1e-6):
     return centered
 
 
+# Odd rational single-precision erf, erf(t) ~ t*P(t^2)/Q(t^2) for |t| <= 4,
+# with the coefficients of Eigen's ``generic_fast_erf_float`` (also XLA's
+# f32 ``ErfImpl32``), highest power first.  Against the double-precision
+# erf, on 4M points over [-6, 6]: max |error| 4.5e-7 (at |t| = 3.92), and
+# the clamped ends give exactly +-1.
+_ERF32_P = tuple(np.float32(c) for c in (
+    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+    -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+    -1.60960333262415e-02))
+_ERF32_Q = tuple(np.float32(c) for c in (
+    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+    -7.37332916720468e-03, -1.42647390514189e-02))
+
+
+def _horner(t2, coefficients):
+    """P(t2) for coefficients given highest power first, in one buffer."""
+    out = t2 * coefficients[0]
+    for c in coefficients[1:-1]:
+        out += c
+        out *= t2
+    out += coefficients[-1]
+    return out
+
+
 def gelu(x):
-    """Exact Gaussian error linear unit, x * Phi(x) via the error function."""
+    """Gaussian error linear unit, x * Phi(x) = 0.5 x (1 + erf(x / sqrt 2)).
+
+    Double precision takes the exact erf from ``scipy.special``, imported
+    here at the first call.  Single precision uses the rational erf above:
+    on 4M points over [-12, 12], |gelu - the double-precision GELU| is at
+    most 1.37e-6 (at |x| ~ 5.6) and at most 2.6e-7 * max(1, |x|); scipy's
+    single-precision erf gave 4.5e-7.  Both compute ``(0.5 x)`` first, so
+    a finite input near the largest float never overflows, and both give
+    the same values at the extremes: NaN stays NaN, +inf gives +inf, and
+    -inf gives NaN.
+    """
     check_tensor(x, name="gelu input")
-    half = x.dtype.type(0.5)
-    inv_sqrt2 = x.dtype.type(1.0 / np.sqrt(2.0))
-    return half * x * (1.0 + erf(x * inv_sqrt2))
+    if x.dtype == np.float64:
+        from scipy.special import erf
+        return 0.5 * x * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+    t = x * np.float32(1.0 / np.sqrt(2.0))
+    np.clip(t, np.float32(-4.0), np.float32(4.0), out=t)  # NaN stays NaN
+    t2 = t * t
+    erf = _horner(t2, _ERF32_P)
+    erf *= t
+    erf /= _horner(t2, _ERF32_Q)
+    erf += np.float32(1.0)
+    out = np.multiply(x, np.float32(0.5), out=t)
+    out *= erf
+    return out
 
 
 def softmax_rows(x):
@@ -323,6 +372,21 @@ def softmax_rows(x):
 
 
 def sigmoid(x):
-    """Elementwise logistic function."""
+    """Elementwise logistic function, 1 / (1 + exp(-x)).
+
+    Double precision takes ``expit`` from ``scipy.special``, imported here
+    at the first call.  Single precision uses the two-sided form on
+    ``e = exp(-|x|)``, 1 / (1 + e) for x >= 0 and e / (1 + e) below, so no
+    finite input overflows.
+    """
     check_tensor(x, name="sigmoid input")
-    return expit(x)
+    if x.dtype == np.float64:
+        from scipy.special import expit
+        return expit(x)
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, np.float32(1.0), e)
+    e += np.float32(1.0)
+    out /= e
+    return out

@@ -375,6 +375,43 @@ class TestInfer:
         assert proc.stderr.count("\n") == 1
 
 
+def scipy_special_loaded_after(*runs):
+    """Whether ``scipy.special`` is imported after ``cli.main`` runs each
+    argument list, in order, in a fresh interpreter (each must exit 0)."""
+    code = ("import sys\n"
+            "from cuenet import cli\n"
+            f"for argv in {runs!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "print('scipy.special' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+class TestScipyImport:
+    """Only double precision needs scipy: a single-precision process never
+    imports ``scipy.special``."""
+
+    def test_single_precision_runs_leave_scipy_out(self, workdir, tmp_path):
+        clip = tmp_path / "clip32.ctf"
+        ctf.write_tensor(clip, ctf.read_tensor(workdir / "clip.ctf")
+                         .astype(np.float32))
+        infer = ["infer", "--video", str(clip),
+                 "--detections", str(workdir / "det.jsonl"),
+                 "--weights", str(workdir / "desk32.cwc"),
+                 "--precision", "f32"]
+        bench = ["bench", "--attention", "meaa,eaa,self", "--sizes", "8",
+                 "--reps", "5", "--d", "8"]
+        assert scipy_special_loaded_after(infer, bench) == "False"
+
+    def test_double_precision_infer_imports_scipy(self, workdir):
+        infer = ["infer", "--video", str(workdir / "clip.ctf"),
+                 "--detections", str(workdir / "det.jsonl"),
+                 "--weights", str(workdir / "desk.cwc")]
+        assert scipy_special_loaded_after(infer) == "True"
+
+
 class TestInitWeights:
     def test_creates_loadable_container(self, workdir, tmp_path):
         out = tmp_path / "w.cwc"

@@ -5,14 +5,18 @@ the package, so every malformed byte string must surface as ``FormatError``
 (or ``ConfigError`` for a precision request the container cannot meet),
 and the ``crop`` command must exit 0 or 2 on any detection text.  A
 configuration file with any value in any key raises only ``ConfigError``.
+``infer`` on extreme but finite weights and clips exits with a documented
+code and prints nothing but its result or its error line.
 """
 
+import dataclasses
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cuenet import cli, ctf, weights
@@ -146,3 +150,65 @@ def test_config_parser_raises_only_config_error(values):
         parse_config(_config_text(values))
     except ConfigError:
         pass
+
+
+_PRECISIONS = {"single": (np.float32, "f32"), "double": (np.float64, "f64")}
+
+
+@pytest.fixture(scope="module")
+def infer_weights(tmp_path_factory):
+    """Desk weight files by (precision, scale): as initialized, times 1e30,
+    and scaled so that every non-zero weight is subnormal."""
+    root = tmp_path_factory.mktemp("infer")
+    paths = {}
+    for precision, (dtype, _) in _PRECISIONS.items():
+        base = weights.init_weights(desk_preset(precision=precision))
+        for scale in ("one", "huge", "subnormal"):
+            factor = {"one": 1.0, "huge": 1e30,
+                      "subnormal": np.finfo(dtype).smallest_normal / 4}[scale]
+            entries = {name: array * dtype(factor)
+                       for name, array in base.entries.items()}
+            path = root / f"{precision}-{scale}.cwc"
+            weights.save_weights(dataclasses.replace(base, entries=entries),
+                                 path)
+            paths[precision, scale] = path
+    return paths
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(_PRECISIONS)),
+       st.sampled_from(("one", "huge", "subnormal")),
+       st.sampled_from(((1, 1), (1, 200), (32, 32))),
+       st.sampled_from(("0.5", "1e-30", "max/4", "-max/4")))
+def test_infer_exits_cleanly_on_extreme_values(infer_weights, tmp_path,
+                                               capsys, precision, scale,
+                                               extent, fill):
+    dtype, flag = _PRECISIONS[precision]
+    quarter = np.finfo(dtype).max / 4
+    value = {"0.5": 0.5, "1e-30": 1e-30, "max/4": quarter,
+             "-max/4": -quarter}[fill]
+    height, width = extent
+    clip = tmp_path / "clip.ctf"
+    ctf.write_tensor(clip, np.full((8, height, width, 3), value, dtype=dtype))
+    detections = tmp_path / "det.jsonl"
+    detections.write_text("".join(
+        json.dumps({"frame": t, "boxes": [[0, 0, width, height]]}) + "\n"
+        for t in range(8)))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["infer", "--video", str(clip),
+                         "--detections", str(detections),
+                         "--weights", str(infer_weights[precision, scale]),
+                         "--precision", flag])
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    assert "Warning" not in err
+    if code == 0:
+        assert set(json.loads(out)) == {"logits", "probabilities", "class",
+                                        "crop"}
+    else:
+        assert out == ""
+        assert err.startswith("error: ")

@@ -17,6 +17,10 @@ from util import (assert_close, conv3d_oracle, conv3d_reference,
                   matmul_oracle)
 
 REFERENCE_CASES = settings(max_examples=60, deadline=None)
+# the single-precision GELU's stated bounds against the double-precision
+# GELU: absolute, and scaled by 1 / max(1, |x|)
+GELU32_BOUND = 1.4e-6
+GELU32_SCALED_BOUND = 2.7e-7
 dtypes = st.sampled_from((np.float32, np.float64))
 odd_extents = st.sampled_from((1, 3, 5))
 
@@ -178,6 +182,19 @@ class TestElementwise:
         assert s[0] == 0.5
         assert abs(s[1] + s[2] - 1.0) < 1e-15
 
+    def test_single_precision_sigmoid_symmetric_and_monotone(self):
+        x = np.linspace(-30.0, 30.0, 60_001, dtype=np.float32)
+        s = tensor.sigmoid(x)
+        assert s.dtype == np.float32
+        assert s[30_000] == 0.5
+        assert np.all(np.diff(s) >= 0.0)
+        # s(x) + s(-x) = 1 to within one unit in the last place of 1
+        assert np.max(np.abs(s + s[::-1] - 1.0)) <= np.finfo(np.float32).eps
+        # within four units in the last place of the double-precision value
+        exact = 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
+        eps = np.finfo(np.float32).eps
+        assert np.all(np.abs(s - exact) <= 4 * eps * exact)
+
 
 class TestLayerNorm:
     def test_constant_row_maps_to_beta(self):
@@ -253,6 +270,58 @@ class TestGelu:
             expected = x * phi
             got = tensor.gelu(np.array([x]))[0]
             assert abs(got - expected) < 1e-8
+
+    def test_single_precision_matches_quadrature_oracle(self):
+        for x in (0.5, 1.0, -0.7, 2.3):
+            x32 = np.float32(x)
+            phi, _ = quad(lambda t: np.exp(-t * t / 2.0)
+                          / np.sqrt(2.0 * np.pi), -np.inf, float(x32))
+            got = tensor.gelu(np.array([x32]))[0]
+            assert got.dtype == np.float32
+            assert abs(got - float(x32) * phi) < GELU32_BOUND
+
+    def test_single_precision_error_bound_on_dense_grid(self):
+        # 4M points over [-12, 12] in four chunks, against the
+        # double-precision GELU of the same (single-precision) inputs
+        worst = worst_scaled = 0.0
+        for chunk in np.array_split(np.linspace(-12.0, 12.0, 4_000_001), 4):
+            x = chunk.astype(np.float32)
+            exact = tensor.gelu(x.astype(np.float64))
+            err = np.abs(tensor.gelu(x) - exact)
+            worst = max(worst, float(err.max()))
+            worst_scaled = max(worst_scaled, float(
+                (err / np.maximum(1.0, np.abs(chunk))).max()))
+        assert worst <= GELU32_BOUND
+        assert worst_scaled <= GELU32_SCALED_BOUND
+
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    def test_non_finite_inputs(self, dtype):
+        with np.errstate(invalid="ignore"):
+            out = tensor.gelu(np.array([np.nan, np.inf, -np.inf], dtype=dtype))
+        assert out.dtype == dtype
+        assert np.isnan(out[0])
+        assert out[1] == np.inf
+        assert np.isnan(out[2])
+
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    def test_extreme_finite_inputs_raise_nothing(self, dtype):
+        # (0.5 x) is formed before (1 + erf): x (1 + erf) would overflow
+        big = 0.9 * np.finfo(dtype).max
+        x = np.array([big, -big, 3e38, -3e38, 1e30, -1e30, 100.0, -100.0,
+                      0.0], dtype=dtype)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            g = tensor.gelu(x)
+            s = tensor.sigmoid(x)
+        assert np.array_equal(g, np.array([big, 0.0, 3e38, 0.0, 1e30, 0.0,
+                                           100.0, 0.0, 0.0], dtype=dtype))
+        assert np.all(np.signbit(g[[1, 3, 5, 7]]))
+        assert np.array_equal(s[[0, 1, 2, 3, 4, 5, 6, 8]],
+                              [1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.5])
+        # sigmoid(-100) is about 3.7e-44, subnormal in single precision
+        exact = 1.0 / (1.0 + np.exp(100.0))
+        tol = max(float(np.finfo(dtype).smallest_subnormal),
+                  4 * float(np.finfo(dtype).eps) * exact)
+        assert abs(float(s[7]) - exact) <= tol
 
 
 class TestSoftmax:
