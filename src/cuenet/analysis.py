@@ -170,9 +170,6 @@ def require_flops_match(cfg, seed=0):
 # memory estimator
 # ---------------------------------------------------------------------------
 
-_BYTES = {"single": 4, "double": 8}
-
-
 @dataclass
 class MemEstimate:
     """Peak live intermediate storage for one attention application."""
@@ -185,7 +182,7 @@ class MemEstimate:
 
     @property
     def bytes(self):
-        return self.elements * _BYTES[self.precision]
+        return self.elements * np.dtype(dtype_of(self.precision)).itemsize
 
 
 def estimate_memory(kind, n, d, precision="double"):
@@ -197,8 +194,7 @@ def estimate_memory(kind, n, d, precision="double"):
     if n < 1 or d < 1:
         raise ParamError(f"token count and width must be positive, got "
                          f"n={n}, d={d}")
-    if precision not in _BYTES:
-        raise ParamError(f"unknown precision {precision!r}")
+    dtype_of(precision)  # raises ParamError for an unknown name
     if kind == ATTENTION_MEAA:
         elements = 2 * n * d + 2 * d
     elif kind == ATTENTION_EAA:

@@ -1,9 +1,10 @@
 """Local token blocks: temporal affinity, per-frame attention, feed-forward.
 
-Tokens live in a :class:`TokenField` of shape (frames, tokens_per_frame,
-hidden) where index 0 of every frame is that frame's class token and the
-rest raster a spatial grid.  Each block applies three residual sub-units,
-each preceded by its own layer normalization:
+Tokens are a plain (frames, 1 + grid_h*grid_w, hidden) array: index 0 of
+every frame is that frame's class token and the rest raster the spatial
+grid, which callers pass alongside as ``(grid_h, grid_w)``.  Each block
+applies three residual sub-units, each preceded by its own layer
+normalization:
 
 1. temporal affinity: a shared value projection, a depthwise temporal
    convolution over the spatial grid (class tokens pass through), and a
@@ -11,8 +12,12 @@ each preceded by its own layer normalization:
 2. a per-frame token mixer: the block's attention kind, run by one
    row-preserving :func:`cuenet.attention.attend` call on the whole
    (frames, tokens, hidden) stack, batched over the frame axis;
-3. a two-layer feed-forward unit with a GELU: exact erf in double
-   precision, a rational erf (max error 4.5e-7) in single.
+3. :func:`ffn`, a two-layer feed-forward unit with a GELU: exact erf in
+   double precision, a rational erf (max error 4.5e-7) in single.
+
+Two parts are shared with the global block: :func:`spatial_dwconv`, the
+depthwise convolution of the spatial tokens (the temporal taps here, the
+positional encoding there), and the residual :func:`ffn`.
 
 The temporal convolution is the only place information crosses frames in a
 local block; the mixer never attends across frame boundaries.
@@ -23,64 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention
-# The kind names stay importable from here for existing callers.
-from .attention import (ATTENTION_EAA, ATTENTION_KINDS,  # noqa: F401
-                        ATTENTION_MEAA, ATTENTION_SELF)
 from .errors import ShapeError
 from .instrument import stage
 from .tensor import (LnParams, check_tensor, dwconv3d, gelu, layer_norm,
                      matmul)
-
-
-@dataclass
-class TokenField:
-    """Per-frame token matrix with its spatial grid geometry.
-
-    ``data`` has shape (frames, grid_h*grid_w + 1, hidden); ``grid`` is
-    (grid_h, grid_w).  Token 0 of each frame is the class token.
-    """
-
-    data: np.ndarray
-    grid: tuple
-
-    def __post_init__(self):
-        check_tensor(self.data, rank=3, name="token field")
-        gh, gw = self.grid
-        if gh < 0 or gw < 0:
-            raise ShapeError(f"negative grid {self.grid}")
-        if self.data.shape[1] != gh * gw + 1:
-            raise ShapeError(f"token field has {self.data.shape[1]} tokens "
-                             f"per frame; grid {self.grid} implies "
-                             f"{gh * gw + 1}")
-
-    @property
-    def frames(self):
-        return self.data.shape[0]
-
-    @property
-    def spatial_tokens(self):
-        return self.grid[0] * self.grid[1]
-
-    @property
-    def hidden(self):
-        return self.data.shape[2]
-
-    def with_data(self, data):
-        if data.shape != self.data.shape:
-            raise ShapeError(f"replacement shape {data.shape} vs "
-                             f"{self.data.shape}")
-        return TokenField(data=data, grid=self.grid)
-
-    def spatial_volume(self):
-        """Spatial tokens as a (frames, grid_h, grid_w, hidden) volume."""
-        gh, gw = self.grid
-        return np.ascontiguousarray(
-            self.data[:, 1:, :]).reshape(self.frames, gh, gw, self.hidden)
-
-    def flat(self):
-        """All tokens as one (frames*tokens_per_frame, hidden) matrix,
-        frame-major."""
-        return self.data.reshape(-1, self.hidden)
 
 
 @dataclass
@@ -119,60 +70,59 @@ class LocalBlockParams:
         attention.check_kind(self.attn_kind)
 
 
-def _normed(field, ln):
-    return field.with_data(layer_norm(field.data, ln.gamma, ln.beta))
+def spatial_dwconv(x, grid, kernel):
+    """Depthwise convolution of the spatial tokens of a token array.
+
+    ``x`` is (frames, 1 + grid_h*grid_w, d); token ``1 + i*grid_w + j`` of
+    a frame sits at row ``i``, column ``j`` of the (frames, grid_h, grid_w,
+    d) volume that ``kernel`` convolves.  Returns the (frames,
+    grid_h*grid_w, d) result; class tokens are not read.
+    """
+    check_tensor(x, rank=3, name="token array")
+    gh, gw = grid
+    if gh < 0 or gw < 0:
+        raise ShapeError(f"negative grid {grid}")
+    t, m, d = x.shape
+    if m != gh * gw + 1:
+        raise ShapeError(f"token array has {m} tokens per frame; grid "
+                         f"{grid} implies {gh * gw + 1}")
+    volume = np.ascontiguousarray(x[:, 1:, :]).reshape(t, gh, gw, d)
+    return dwconv3d(volume, kernel).reshape(t, gh * gw, d)
 
 
-def lt_mhra(field, p):
-    """Temporal affinity over an already-normalized field.
+def ffn(x, ln, p):
+    """Pre-normalized residual feed-forward over the last axis of ``x``:
+    ``x + (gelu(ln(x) @ w1 + b1) @ w2 + b2)``."""
+    d = x.shape[-1]
+    normed = layer_norm(x, ln.gamma, ln.beta).reshape(-1, d)
+    hidden = gelu(matmul(normed, p.w1) + p.b1)
+    return x + (matmul(hidden, p.w2) + p.b2).reshape(x.shape)
+
+
+def lt_mhra(x, grid, p):
+    """Temporal affinity over already-normalized tokens.
 
     Class tokens see the identity affinity; spatial tokens are mixed along
     time only, per channel, with shared taps.  Both are wrapped by the value
     and fusing projections.
     """
-    d = field.hidden
-    proj = matmul(field.flat(), p.value).reshape(field.data.shape)
-    mixed = proj.copy()
-    if field.spatial_tokens:
-        gh, gw = field.grid
-        volume = np.ascontiguousarray(proj[:, 1:, :]).reshape(
-            field.frames, gh, gw, d)
-        conv = dwconv3d(volume, p.kernel)
-        mixed[:, 1:, :] = conv.reshape(field.frames, field.spatial_tokens, d)
-    fused = matmul(mixed.reshape(-1, d), p.fuse).reshape(field.data.shape)
-    return field.with_data(fused)
+    d = x.shape[-1]
+    proj = matmul(x.reshape(-1, d), p.value).reshape(x.shape)
+    proj[:, 1:, :] = spatial_dwconv(proj, grid, p.kernel)
+    return matmul(proj.reshape(-1, d), p.fuse).reshape(x.shape)
 
 
-def frame_mixer(field, kind, p, heads):
-    """Per-frame ``kind`` attention over an already-normalized field: one
-    :func:`cuenet.attention.attend` call on the whole frame stack, each
-    frame attending only within itself."""
-    return field.with_data(
-        attention.attend(kind, field.data, p, heads, pool=False))
-
-
-def ffn(field, p):
-    """Position-wise feed-forward over an already-normalized field."""
-    d = field.hidden
-    flat = field.flat()
-    hidden = gelu(matmul(flat, p.w1) + p.b1)
-    out = matmul(hidden, p.w2) + p.b2
-    return field.with_data(out.reshape(field.data.shape))
-
-
-def local_uniblock_forward(field, p, heads, stage_prefix="local0"):
+def local_uniblock_forward(x, grid, p, heads, stage_prefix):
     """Run one local block: three pre-normalized residual sub-units.
 
     Each sub-unit's work is counted under ``{stage_prefix}.lt|attn|ffn``.
     """
     with stage(f"{stage_prefix}.lt"):
-        mixed = lt_mhra(_normed(field, p.ln1), p.lt)
-        field = field.with_data(field.data + mixed.data)
+        x = x + lt_mhra(layer_norm(x, p.ln1.gamma, p.ln1.beta), grid, p.lt)
     with stage(f"{stage_prefix}.attn"):
-        mixed = frame_mixer(_normed(field, p.ln2), p.attn_kind, p.attn,
-                            heads)
-        field = field.with_data(field.data + mixed.data)
+        x = x + attention.attend(p.attn_kind,
+                                 layer_norm(x, p.ln2.gamma, p.ln2.beta),
+                                 p.attn, heads, pool=False)
     with stage(f"{stage_prefix}.ffn"):
-        lifted = ffn(_normed(field, p.ln3), p.ffn)
-        field = field.with_data(field.data + lifted.data)
-    return field
+        x = ffn(x, p.ln3, p.ffn)
+    return x

@@ -20,14 +20,16 @@ from .errors import FormatError
 from .tensor import check_tensor, precision_of
 
 MAGIC = b"CTF1"
-_FLAG_OF = {"single": 0, "double": 1}
+# The precision flag of tensor files, also used by weight containers.
+FLAG_OF = {"single": 0, "double": 1}
+PRECISION_OF_FLAG = {flag: name for name, flag in FLAG_OF.items()}
 _DTYPE_OF_FLAG = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
 def tensor_bytes(array):
     """Serialize an array to the canonical byte layout."""
     check_tensor(array, name="tensor file payload")
-    flag = _FLAG_OF[precision_of(array)]
+    flag = FLAG_OF[precision_of(array)]
     header = MAGIC + struct.pack("<BB", flag, array.ndim)
     header += struct.pack(f"<{array.ndim}I", *array.shape)
     payload = np.ascontiguousarray(array, dtype=_DTYPE_OF_FLAG[flag]).tobytes()

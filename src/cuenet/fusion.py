@@ -26,9 +26,10 @@ class FusionParams:
     bias: np.ndarray    # (num_classes,)
 
 
-def extract_class_token(field):
-    """Average the per-frame class tokens into one (1, d) summary."""
-    return mean_rows(np.ascontiguousarray(field.data[:, 0, :]))
+def extract_class_token(x):
+    """Average the per-frame class tokens of a (frames, tokens, d) array
+    into one (1, d) summary."""
+    return mean_rows(np.ascontiguousarray(x[:, 0, :]))
 
 
 def fuse(global_vec, local_vec, beta):

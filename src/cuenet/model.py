@@ -5,11 +5,13 @@ The inference path is
     crop -> resize -> patch backbone -> local blocks -> global block
          -> gated fusion -> logits
 
-The backbone turns a (frames, height, width, channels) clip into per-frame
-token matrices: a strided 3-d patch convolution (temporal extent 3, zero
-padded so the frame count survives; spatial stride equal to the patch edge),
-a stride-2 temporal selection, and a learnable class token prepended to each
-frame's spatial tokens.
+The backbone turns a (frames, height, width, channels) clip into one plain
+(frames_out, 1 + grid_h*grid_w, hidden) token array: a strided 3-d patch
+convolution (temporal extent 3, zero padded so the frame count survives;
+spatial stride equal to the patch edge), a stride-2 temporal selection, and
+a learnable class token prepended to each frame's spatial tokens.  The
+blocks take that array and the grid ``(cfg.grid_h, cfg.grid_w)`` side by
+side.
 
 ``forward`` installs its optional ``trace`` dict as the shape sink of
 :mod:`cuenet.instrument`, where every stage records the exact shape of its
@@ -19,7 +21,7 @@ intermediate; this doubles as the hook for shape verification.
 import numpy as np
 
 from . import fusion as fusion_ops
-from .blocks import TokenField, local_uniblock_forward
+from .blocks import local_uniblock_forward
 from .config import PATCH, TEMPORAL_KERNEL
 from .crop import apply_crop, compute_crop_box
 from .errors import ConfigError
@@ -76,7 +78,8 @@ def resize_bilinear(video, out_h, out_w):
 
 
 def backbone_forward(video, params, cfg):
-    """Tokenize a clip that already matches the configured geometry."""
+    """Tokenize a clip that already matches the configured geometry into a
+    (frames_out, 1 + grid_h*grid_w, hidden) array."""
     check_tensor(video, rank=4, name="video")
     expected = (cfg.frames, cfg.height, cfg.width, cfg.channels)
     if video.shape != expected:
@@ -93,22 +96,22 @@ def backbone_forward(video, params, cfg):
     spatial = selected.reshape(t2, cfg.spatial_tokens, cfg.hidden)
     cls = np.broadcast_to(params.class_token,
                           (t2, 1, cfg.hidden)).astype(video.dtype)
-    data = np.concatenate([cls, spatial], axis=1)
-    return TokenField(data=data, grid=(cfg.grid_h, cfg.grid_w))
+    return np.concatenate([cls, spatial], axis=1)
 
 
 def network_forward(video, params, cfg):
     """Backbone through logits, without preprocessing."""
+    grid = (cfg.grid_h, cfg.grid_w)
     with stage("backbone"):
-        field = backbone_forward(video, params, cfg)
-    record_shape("backbone", field.data)
+        x = backbone_forward(video, params, cfg)
+    record_shape("backbone", x)
     for i, block in enumerate(params.local_blocks):
-        field = local_uniblock_forward(field, block, cfg.heads,
-                                       stage_prefix=f"local{i}")
-        record_shape(f"local{i}", field.data)
-    clip_vec = global_uniblock_forward(field, params.global_block, cfg.heads)
+        x = local_uniblock_forward(x, grid, block, cfg.heads, f"local{i}")
+        record_shape(f"local{i}", x)
+    clip_vec = global_uniblock_forward(x, grid, params.global_block,
+                                       cfg.heads)
     with stage("fusion"):
-        local_summary = fusion_ops.extract_class_token(field)
+        local_summary = fusion_ops.extract_class_token(x)
         fused = fusion_ops.fuse(clip_vec, local_summary, params.fusion.beta)
         logits = fusion_ops.classify(fused, params.fusion)
     record_shape("local_summary", local_summary)

@@ -39,8 +39,6 @@ from .tensor import LnParams, dtype_of, precision_of
 
 MAGIC = b"CWC1"
 VERSION = 1
-_FLAG_OF = {"single": 0, "double": 1}
-_PRECISION_OF_FLAG = {0: "single", 1: "double"}
 
 
 @dataclass(frozen=True)
@@ -255,11 +253,6 @@ def bind_parameters(container, cfg):
     return params
 
 
-def validate_container(container, cfg):
-    """Check a container holds exactly the expected entries for ``cfg``."""
-    bind_parameters(container, cfg)
-
-
 def container_bytes(container):
     """Serialize a container to the canonical byte layout."""
     names = container.names()
@@ -276,7 +269,7 @@ def container_bytes(container):
     for raw, array in encoded:
         blob = ctf.tensor_bytes(array)
         blobs.append(blob)
-        flag = _FLAG_OF[container.precision]
+        flag = ctf.FLAG_OF[container.precision]
         parts.append(struct.pack("<H", len(raw)))
         parts.append(raw)
         parts.append(struct.pack(f"<B{array.ndim}IBQ", array.ndim,
@@ -329,12 +322,13 @@ def load_weights(path, precision=None, allow_widen=False):
         shape = struct.unpack_from(f"<{rank}I", data, pos)
         pos += 4 * rank
         flag = data[pos]
-        if flag not in _PRECISION_OF_FLAG:
+        if flag not in ctf.PRECISION_OF_FLAG:
             raise FormatError(f"weight {name!r}: unknown precision flag "
                               f"{flag}")
         (blob_offset,) = struct.unpack_from("<Q", data, pos + 1)
         pos += 9
-        manifest.append((name, shape, _PRECISION_OF_FLAG[flag], blob_offset))
+        manifest.append((name, shape, ctf.PRECISION_OF_FLAG[flag],
+                         blob_offset))
     entries = {}
     stored_precision = None
     for name, shape, entry_precision, blob_offset in manifest:

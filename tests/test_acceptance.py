@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from cuenet import analysis, attention, crop, ctf, fusion, model, weights
-from cuenet.blocks import (ATTENTION_EAA, ATTENTION_KINDS, ATTENTION_MEAA,
-                           ATTENTION_SELF)
+from cuenet.attention import (ATTENTION_EAA, ATTENTION_KINDS, ATTENTION_MEAA,
+                              ATTENTION_SELF)
 from cuenet.config import desk_preset
 
 from util import meaa_oracle, random_additive_params, rel_err

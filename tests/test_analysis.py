@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cuenet import analysis
-from cuenet.blocks import ATTENTION_EAA, ATTENTION_KINDS, ATTENTION_MEAA, \
+from cuenet.attention import ATTENTION_EAA, ATTENTION_KINDS, ATTENTION_MEAA, \
     ATTENTION_SELF
 from cuenet.config import desk_preset, paper_preset
 from cuenet.errors import ParamError, VerificationError

@@ -421,7 +421,7 @@ class TestInitWeights:
         assert info == {"entries": 59, "parameters": 316098,
                         "precision": "double", "seed": 2024}
         container = weights.load_weights(out)
-        weights.validate_container(container, desk_preset())
+        weights.bind_parameters(container, desk_preset())
 
     def test_matches_library_initialization(self, workdir):
         assert (workdir / "desk.cwc").read_bytes() \

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cuenet import config, ctf, weights
-from cuenet.blocks import (ATTENTION_EAA, ATTENTION_MEAA, ATTENTION_SELF)
+from cuenet.attention import ATTENTION_EAA, ATTENTION_MEAA, ATTENTION_SELF
 from cuenet.config import desk_preset, parse_config, serialize_config
 from cuenet.errors import ConfigError, FormatError, ShapeError
 
@@ -122,7 +122,7 @@ class TestWeightContainer:
         assert back.names() == container.names()
         for name in container.names():
             assert np.array_equal(back[name], container[name])
-        weights.validate_container(back, cfg)
+        weights.bind_parameters(back, cfg)
 
     def test_second_save_is_byte_identical(self, tmp_path):
         cfg = tiny_config(precision="single")
@@ -334,21 +334,21 @@ class TestWeightNaming:
         container = weights.init_weights(cfg)
         del container.entries["fusion.bias"]
         with pytest.raises(ConfigError, match="fusion.bias"):
-            weights.validate_container(container, cfg)
+            weights.bind_parameters(container, cfg)
         container = weights.init_weights(cfg)
         container.entries["extra"] = np.zeros(1)
         with pytest.raises(ConfigError, match="extra"):
-            weights.validate_container(container, cfg)
+            weights.bind_parameters(container, cfg)
         container = weights.init_weights(cfg)
         container.entries["fusion.proj"] = np.zeros((2, 2))
         with pytest.raises(ConfigError, match="fusion.proj"):
-            weights.validate_container(container, cfg)
+            weights.bind_parameters(container, cfg)
 
     def test_validate_checks_precision(self):
         cfg = tiny_config(precision="double")
         container = weights.init_weights(tiny_config(precision="single"))
         with pytest.raises(ConfigError, match="precision"):
-            weights.validate_container(container, cfg)
+            weights.bind_parameters(container, cfg)
 
     def test_missing_lookup_names_entry(self):
         container = weights.init_weights(tiny_config())

@@ -3,65 +3,71 @@
 import numpy as np
 import pytest
 
-from cuenet import attention, blocks, fusion, global_block
-from cuenet.blocks import ATTENTION_KINDS, ATTENTION_MEAA, ATTENTION_SELF
+from cuenet import blocks, fusion, global_block
+from cuenet.attention import ATTENTION_KINDS, ATTENTION_MEAA, ATTENTION_SELF
 from cuenet.errors import ParamError, ShapeError
 from cuenet.global_block import GlobalBlockParams
 from cuenet.instrument import UNATTRIBUTED, MacCounter, counting, tracing
-from cuenet.tensor import gelu, layer_norm, mean_rows
+from cuenet.tensor import gelu, layer_norm
 
-from test_blocks import random_attention, random_ffn, random_field, random_ln
-from util import assert_close, dwconv3d_oracle, matmul_oracle
+from test_blocks import random_attention, random_ffn, random_ln, random_tokens
+from util import (assert_close, dpe_reference, dwconv3d_oracle,
+                  global_block_reference, matmul_oracle)
 
 
-def random_global(rng, d, kind, hidden=None):
+def random_global(rng, d, kind, hidden=None, dtype=np.float64):
     hidden = hidden or 2 * d
-    attn = random_attention(rng, d, kind)
-    return GlobalBlockParams(dpe_kernel=rng.standard_normal((3, 3, 3, d)),
-                             ln_tokens=random_ln(rng, d), attn_kind=kind,
-                             attn=attn,
-                             ln_ffn=random_ln(rng, d),
-                             ffn=random_ffn(rng, d, hidden))
+    attn = random_attention(rng, d, kind, dtype)
+    return GlobalBlockParams(
+        dpe_kernel=rng.standard_normal((3, 3, 3, d)).astype(dtype),
+        ln_tokens=random_ln(rng, d, dtype), attn_kind=kind, attn=attn,
+        ln_ffn=random_ln(rng, d, dtype), ffn=random_ffn(rng, d, hidden, dtype))
 
 
 class TestDpe:
     def test_zero_kernel_is_identity(self):
         rng = np.random.default_rng(60)
-        field = random_field(rng, frames=3, d=5)
-        out = global_block.dpe(field, np.zeros((3, 3, 3, 5)))
-        assert np.array_equal(out.data, field.data)
+        x, grid = random_tokens(rng, frames=3, d=5)
+        out = global_block.dpe(x, grid, np.zeros((3, 3, 3, 5)))
+        assert np.array_equal(out, x)
 
     def test_even_extent_rejected(self):
-        field = random_field(np.random.default_rng(61), d=4)
+        x, grid = random_tokens(np.random.default_rng(61), d=4)
         with pytest.raises(ParamError):
-            global_block.dpe(field, np.zeros((2, 3, 3, 4)))
+            global_block.dpe(x, grid, np.zeros((2, 3, 3, 4)))
 
     def test_class_tokens_bypass(self):
         rng = np.random.default_rng(62)
-        field = random_field(rng, frames=4, d=4)
-        out = global_block.dpe(field, rng.standard_normal((3, 3, 3, 4)))
-        assert np.array_equal(out.data[:, 0, :], field.data[:, 0, :])
-        assert not np.allclose(out.data[:, 1:, :], field.data[:, 1:, :])
+        x, grid = random_tokens(rng, frames=4, d=4)
+        out = global_block.dpe(x, grid, rng.standard_normal((3, 3, 3, 4)))
+        assert np.array_equal(out[:, 0, :], x[:, 0, :])
+        assert not np.allclose(out[:, 1:, :], x[:, 1:, :])
 
     def test_matches_residual_oracle(self):
         rng = np.random.default_rng(63)
-        field = random_field(rng, frames=3, gh=2, gw=2, d=4)
+        x, grid = random_tokens(rng, frames=3, gh=2, gw=2, d=4)
         kernel = rng.standard_normal((3, 1, 3, 4))
-        out = global_block.dpe(field, kernel)
-        want = field.data.copy()
-        want[:, 1:, :] += dwconv3d_oracle(field.spatial_volume(),
+        out = global_block.dpe(x, grid, kernel)
+        want = x.copy()
+        want[:, 1:, :] += dwconv3d_oracle(x[:, 1:, :].reshape(3, 2, 2, 4),
                                           kernel).reshape(3, 4, 4)
-        assert_close(out.data, want, rel=1e-12)
+        assert_close(out, want, rel=1e-12)
+        for dtype in (np.float64, np.float32):
+            x32, k32 = x.astype(dtype), kernel.astype(dtype)
+            assert global_block.dpe(x32, grid, k32).tobytes() \
+                == dpe_reference(x32, grid, k32).tobytes()
 
 
 class TestRowFfn:
+    """:func:`blocks.ffn` on the global block's single (1, d) row."""
+
     def test_matches_composition(self):
         rng = np.random.default_rng(70)
         d, hidden = 4, 9
         x = rng.standard_normal((1, d))
         p = random_ffn(rng, d, hidden)
         ln = random_ln(rng, d)
-        got = global_block.row_ffn(x, p, ln)
+        got = blocks.ffn(x, ln, p)
         normed = layer_norm(x, ln.gamma, ln.beta)
         want = x + (gelu(matmul_oracle(normed, p.w1) + p.b1) @ p.w2 + p.b2)
         assert_close(got, want, rel=1e-10)
@@ -72,64 +78,58 @@ class TestRowFfn:
         p = random_ffn(rng, 5, 7)
         p.w2[:] = 0.0
         p.b2[:] = 0.0
-        got = global_block.row_ffn(x, p, random_ln(rng, 5))
+        got = blocks.ffn(x, random_ln(rng, 5), p)
         assert np.array_equal(got, x)
 
 
 class TestGlobalBlock:
     @pytest.mark.parametrize("kind", ATTENTION_KINDS)
     def test_matches_manual_staging(self, kind):
-        rng = np.random.default_rng(80)
+        # byte for byte against the earlier composition, in both
+        # precisions; that composition adds the feed-forward bias after the
+        # residual, which gives the same bytes only for a zero bias
         d, heads = 8, 2
-        field = random_field(rng, frames=3, d=d)
-        p = random_global(rng, d, kind)
-        got = global_block.global_uniblock_forward(field, p, heads)
-
-        staged = global_block.dpe(field, p.dpe_kernel)
-        tokens = layer_norm(staged.flat(), p.ln_tokens.gamma,
-                            p.ln_tokens.beta)
-        if kind == ATTENTION_MEAA:
-            q_normed = layer_norm(p.attn.q, p.attn.q_ln.gamma,
-                                  p.attn.q_ln.beta)
-            pooled = attention.meaa(q_normed, tokens, p.attn)
-        elif kind == ATTENTION_SELF:
-            pooled = mean_rows(attention.mhsa(tokens, p.attn, heads))
-        else:
-            pooled = attention.eaa_original(tokens, p.attn)
-        want = global_block.row_ffn(pooled, p.ffn, p.ln_ffn)
-
-        assert got.shape == (1, d)
-        assert np.array_equal(got, want)
+        for dtype in (np.float64, np.float32):
+            rng = np.random.default_rng(80)
+            x, grid = random_tokens(rng, frames=3, d=d)
+            x = x.astype(dtype)
+            p = random_global(rng, d, kind, dtype=dtype)
+            p.ffn.b2[:] = 0.0
+            got = global_block.global_uniblock_forward(x, grid, p, heads)
+            want = global_block_reference(x, grid, p, heads)
+            assert got.shape == (1, d)
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
 
     def test_pooled_vector_carries_no_token_residual(self):
         # zeroed attention and feed-forward output maps force an exact
         # zero clip vector; any residual from the token rows would leak
         rng = np.random.default_rng(81)
         d = 6
-        field = random_field(rng, frames=3, d=d)
+        x, grid = random_tokens(rng, frames=3, d=d)
         p = random_global(rng, d, ATTENTION_MEAA)
         p.attn.w2[:] = 0.0
         p.attn.b2[:] = 0.0
         p.ffn.w2[:] = 0.0
         p.ffn.b2[:] = 0.0
-        out = global_block.global_uniblock_forward(field, p, heads=2)
+        out = global_block.global_uniblock_forward(x, grid, p, heads=2)
         assert np.all(out == 0.0)
 
     def test_stage_attribution_and_counts(self):
         rng = np.random.default_rng(82)
         d, heads = 8, 2
-        field = random_field(rng, frames=3, gh=2, gw=2, d=d)
+        x, (gh, gw) = random_tokens(rng, frames=3, gh=2, gw=2, d=d)
         p = random_global(rng, d, ATTENTION_SELF)
         counter = MacCounter()
         with counting(counter):
-            global_block.global_uniblock_forward(field, p, heads)
+            global_block.global_uniblock_forward(x, (gh, gw), p, heads)
         assert set(counter.stages) == {"global.dpe", "global.attn",
                                        "global.ffn"}
         assert counter.stages.get(UNATTRIBUTED, 0) == 0
-        n = field.frames * field.data.shape[1]
+        n = x.shape[0] * x.shape[1]
         hidden = p.ffn.w1.shape[1]
         assert counter.stages["global.dpe"] \
-            == field.frames * field.spatial_tokens * d * 27
+            == x.shape[0] * gh * gw * d * 27
         assert counter.stages["global.attn"] \
             == 4 * n * d * d + n * d + 2 * n * n * d + d
         assert counter.stages["global.ffn"] == 2 * d * hidden
@@ -137,11 +137,11 @@ class TestGlobalBlock:
     def test_trace_records_intermediate_shapes(self):
         rng = np.random.default_rng(83)
         d = 8
-        field = random_field(rng, frames=3, gh=2, gw=2, d=d)
+        x, grid = random_tokens(rng, frames=3, gh=2, gw=2, d=d)
         p = random_global(rng, d, ATTENTION_MEAA)
         trace = {}
         with tracing(trace):
-            global_block.global_uniblock_forward(field, p, heads=2)
+            global_block.global_uniblock_forward(x, grid, p, heads=2)
         assert trace == {"global.dpe": (3, 5, d),
                          "global.tokens": (15, d),
                          "global.pooled": (1, d),
@@ -151,25 +151,25 @@ class TestGlobalBlock:
 class TestExtractClassToken:
     def test_single_frame_returns_class_token(self):
         rng = np.random.default_rng(90)
-        field = random_field(rng, frames=1, d=5)
-        out = fusion.extract_class_token(field)
-        assert_close(out, field.data[:1, 0, :], rel=1e-15)
+        x, _ = random_tokens(rng, frames=1, d=5)
+        out = fusion.extract_class_token(x)
+        assert_close(out, x[:1, 0, :], rel=1e-15)
 
     def test_mean_oracle(self):
         rng = np.random.default_rng(91)
-        field = random_field(rng, frames=5, d=6)
-        out = fusion.extract_class_token(field)
-        want = field.data[:, 0, :].mean(axis=0, keepdims=True)
+        x, _ = random_tokens(rng, frames=5, d=6)
+        out = fusion.extract_class_token(x)
+        want = x[:, 0, :].mean(axis=0, keepdims=True)
         assert out.shape == (1, 6)
         assert_close(out, want, rel=1e-14)
 
     def test_ignores_spatial_tokens(self):
         rng = np.random.default_rng(92)
-        field = random_field(rng, frames=3, d=4)
-        base = fusion.extract_class_token(field)
-        bumped = field.data.copy()
+        x, _ = random_tokens(rng, frames=3, d=4)
+        base = fusion.extract_class_token(x)
+        bumped = x.copy()
         bumped[:, 1:, :] += 100.0
-        redone = fusion.extract_class_token(field.with_data(bumped))
+        redone = fusion.extract_class_token(bumped)
         assert np.array_equal(redone, base)
 
 
@@ -218,13 +218,13 @@ class TestFuse:
     def test_fusion_head_work_count(self):
         rng = np.random.default_rng(104)
         d, classes = 8, 2
-        field = random_field(rng, frames=3, d=d)
+        x, _ = random_tokens(rng, frames=3, d=d)
         p = fusion.FusionParams(beta=rng.standard_normal((1, d)),
                                 proj=rng.standard_normal((d, classes)),
                                 bias=rng.standard_normal(classes))
         counter = MacCounter()
         with counting(counter):
-            local_vec = fusion.extract_class_token(field)
+            local_vec = fusion.extract_class_token(x)
             z = fusion.fuse(rng.standard_normal((1, d)), local_vec, p.beta)
             fusion.classify(z, p)
         assert counter.total == 3 * d + d * classes

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from cuenet import fusion as fusion_ops
 from cuenet import analysis, model, weights
-from cuenet.attention import ATTENTION_KINDS, AdditiveParams, MhsaParams
-from cuenet.blocks import (ATTENTION_EAA, ATTENTION_MEAA, ATTENTION_SELF,
-                           local_uniblock_forward)
+from cuenet.attention import (ATTENTION_EAA, ATTENTION_KINDS, ATTENTION_MEAA,
+                              ATTENTION_SELF, AdditiveParams, MhsaParams)
+from cuenet.blocks import local_uniblock_forward
 from cuenet.config import desk_preset
 from cuenet.crop import parse_detections
 from cuenet.errors import BoundsError, ConfigError
@@ -152,21 +152,21 @@ class TestBackbone:
         rng = np.random.default_rng(10)
         cfg = small_config()
         params = model.bind_parameters(weights.init_weights(cfg), cfg)
-        field = model.backbone_forward(random_clip(rng, cfg), params, cfg)
-        assert field.data.shape == (2, 5, 64)
-        assert field.grid == (2, 2)
+        x = model.backbone_forward(random_clip(rng, cfg), params, cfg)
+        assert x.shape == (2, 5, 64)
+        assert (cfg.grid_h, cfg.grid_w) == (2, 2)
 
     def test_zero_kernel_emits_bias_and_class_token(self):
         rng = np.random.default_rng(11)
         cfg = small_config()
         params = model.bind_parameters(weights.init_weights(cfg), cfg)
         params.patch_kernel[...] = 0.0
-        field = model.backbone_forward(random_clip(rng, cfg), params, cfg)
+        x = model.backbone_forward(random_clip(rng, cfg), params, cfg)
         assert np.array_equal(
-            field.data[:, 0, :],
+            x[:, 0, :],
             np.broadcast_to(params.class_token, (2, 64)))
         assert np.array_equal(
-            field.data[:, 1:, :],
+            x[:, 1:, :],
             np.broadcast_to(params.patch_bias, (2, 4, 64)))
 
     def test_matches_strided_convolution_composition(self):
@@ -174,11 +174,11 @@ class TestBackbone:
         cfg = small_config()
         params = model.bind_parameters(weights.init_weights(cfg), cfg)
         video = random_clip(rng, cfg)
-        field = model.backbone_forward(video, params, cfg)
+        x = model.backbone_forward(video, params, cfg)
         conv = conv3d(video, params.patch_kernel, stride=(1, 16, 16),
                       padding=(1, 0, 0)) + params.patch_bias
         want = conv[::2].reshape(2, 4, 64)
-        assert np.array_equal(field.data[:, 1:, :], want)
+        assert np.array_equal(x[:, 1:, :], want)
 
     def test_temporal_selection_keeps_even_frames(self):
         # frames 0 and 2 of the convolution output survive; zeroing the
@@ -193,7 +193,7 @@ class TestBackbone:
         # kernel instead: identical results prove pure even-index selection
         conv = conv3d(video, params.patch_kernel, stride=(1, 16, 16),
                       padding=(1, 0, 0)) + params.patch_bias
-        assert np.array_equal(base.data[:, 1:, :],
+        assert np.array_equal(base[:, 1:, :],
                               conv[[0, 2]].reshape(2, 4, 64))
 
     def test_shape_and_dtype_guards(self):
@@ -217,12 +217,13 @@ class TestNetworkForward:
         video = random_clip(rng, cfg)
         got = model.network_forward(video, params, cfg)
 
-        field = model.backbone_forward(video, params, cfg)
-        for block in params.local_blocks:
-            field = local_uniblock_forward(field, block, cfg.heads)
-        clip_vec = global_uniblock_forward(field, params.global_block,
+        grid = (cfg.grid_h, cfg.grid_w)
+        x = model.backbone_forward(video, params, cfg)
+        for i, block in enumerate(params.local_blocks):
+            x = local_uniblock_forward(x, grid, block, cfg.heads, f"local{i}")
+        clip_vec = global_uniblock_forward(x, grid, params.global_block,
                                            cfg.heads)
-        summary = fusion_ops.extract_class_token(field)
+        summary = fusion_ops.extract_class_token(x)
         fused = fusion_ops.fuse(clip_vec, summary, params.fusion.beta)
         want = fusion_ops.classify(fused, params.fusion)
         assert np.array_equal(got, want)

@@ -7,8 +7,10 @@ genuinely different computation routes.
 The ``*_reference`` functions are the earlier numpy formulations of kernels
 that now build their buffers and views by hand (``np.pad``,
 ``sliding_window_view``, ``x.mean``/``x.var``, a per-axis weight
-broadcast).  They do the same arithmetic in the same order, so the rewritten
-kernels must match them byte for byte, not only within a tolerance.
+broadcast), and of the token blocks as they were composed before the blocks
+shared one feed-forward unit and one spatial convolution.  They do the same
+arithmetic in the same order, so the rewritten code must match them byte for
+byte, not only within a tolerance.
 """
 
 import math
@@ -185,6 +187,60 @@ def resize_reference(video, out_h, out_w):
         return out
 
     return resample(resample(video, 1, out_h), 2, out_w)
+
+
+def dpe_reference(x, grid, kernel):
+    """``global_block.dpe``: a residual depthwise convolution of the
+    spatial volume, cut from a copy of the (frames, 1 + gh*gw, d) tokens."""
+    t, _, d = x.shape
+    gh, gw = grid
+    out = x.copy()
+    volume = np.ascontiguousarray(x[:, 1:, :]).reshape(t, gh, gw, d)
+    out[:, 1:, :] += dwconv3d_reference(volume, kernel).reshape(
+        t, gh * gw, d)
+    return out
+
+
+def local_block_reference(x, grid, p, heads):
+    """``blocks.local_uniblock_forward`` as three separate sub-units, each
+    computed from its own normalized copy and then added to the residual
+    stream: the temporal affinity on a copy of the value projection, the
+    attention kind, and a feed-forward unit without a residual."""
+    from cuenet import attention
+    from cuenet.tensor import gelu
+    t, m, d = x.shape
+    gh, gw = grid
+
+    def normed(y, ln):
+        return layer_norm_reference(y, ln.gamma, ln.beta)
+
+    proj = (normed(x, p.ln1).reshape(-1, d) @ p.lt.value).reshape(x.shape)
+    mixed = proj.copy()
+    volume = np.ascontiguousarray(proj[:, 1:, :]).reshape(t, gh, gw, d)
+    mixed[:, 1:, :] = dwconv3d_reference(volume, p.lt.kernel).reshape(
+        t, gh * gw, d)
+    x = x + (mixed.reshape(-1, d) @ p.lt.fuse).reshape(x.shape)
+    x = x + attention.attend(p.attn_kind, normed(x, p.ln2), p.attn, heads,
+                             pool=False)
+    hidden = gelu(normed(x, p.ln3).reshape(-1, d) @ p.ffn.w1 + p.ffn.b1)
+    return x + (hidden @ p.ffn.w2 + p.ffn.b2).reshape(x.shape)
+
+
+def global_block_reference(x, grid, p, heads):
+    """``global_block.global_uniblock_forward`` on :func:`dpe_reference`,
+    with the feed-forward output bias added after the residual:
+    ``pooled + hidden @ w2 + b2``.  With ``b2 = 0`` that order gives the
+    same bytes as the local blocks' ``x + (hidden @ w2 + b2)``."""
+    from cuenet import attention
+    from cuenet.tensor import gelu
+    d = x.shape[-1]
+    x = dpe_reference(x, grid, p.dpe_kernel)
+    tokens = layer_norm_reference(x.reshape(-1, d), p.ln_tokens.gamma,
+                                  p.ln_tokens.beta)
+    pooled = attention.attend(p.attn_kind, tokens, p.attn, heads, pool=True)
+    normed = layer_norm_reference(pooled, p.ln_ffn.gamma, p.ln_ffn.beta)
+    hidden = gelu(normed @ p.ffn.w1 + p.ffn.b1)
+    return pooled + hidden @ p.ffn.w2 + p.ffn.b2
 
 
 def meaa_oracle(q_normed, tokens, p, pooled=True):
