@@ -18,8 +18,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BoundsError, FormatError
 from .tensor import check_tensor
 
@@ -221,8 +219,10 @@ def pixel_bounds(box, height, width):
 def apply_crop(video, decision):
     """Extract the decided region from a (T,H,W,C) clip.
 
-    A decision that was not applied returns the input unchanged.  The box
-    must lie within the clip's spatial extents.
+    A decision that was not applied returns the input unchanged; an applied
+    one returns the region as a view of the input, which stays strided and
+    shares its memory (and its read-only flag).  The box must lie within
+    the clip's spatial extents.
     """
     check_tensor(video, rank=4, name="video")
     if not decision.applied:
@@ -233,4 +233,4 @@ def apply_crop(video, decision):
         raise BoundsError(f"crop box {box} exceeds frame extents "
                           f"({height}, {width})")
     y0, y1, x0, x1 = pixel_bounds(box, height, width)
-    return np.ascontiguousarray(video[:, y0:y1, x0:x1, :])
+    return video[:, y0:y1, x0:x1, :]

@@ -10,6 +10,12 @@ Layout, all integers little-endian:
 
 Rank 0 is legal and carries exactly one element.  Readers validate the magic,
 the flag, and that the payload length matches the extents exactly.
+
+:func:`tensor_from_bytes` decodes without copying where it can: on a
+little-endian host the result is a read-only view of the caller's buffer,
+which may sit at any byte offset (a clip's payload starts 22 bytes into its
+blob).  A big-endian host gets a native-order copy, read-only as well.
+:func:`read_tensor` returns a writable array of its own.
 """
 
 import struct
@@ -37,7 +43,13 @@ def tensor_bytes(array):
 
 
 def tensor_from_bytes(buffer, offset=0):
-    """Parse one tensor at ``offset``; returns (array, end_offset)."""
+    """Parse one tensor at ``offset``; returns (array, end_offset).
+
+    The array is read-only.  When the payload's byte order is the host's
+    it is a view of ``buffer`` (which it keeps alive), possibly misaligned;
+    otherwise it is a native-order copy.  Callers that write, or that keep
+    the array longer than the buffer should live, copy it.
+    """
     view = memoryview(buffer)
     if len(view) - offset < 6:
         raise FormatError("tensor header truncated")
@@ -65,8 +77,9 @@ def tensor_from_bytes(buffer, offset=0):
         array = array.reshape(shape)
     except ValueError as exc:  # too many axes, or an empty array too big
         raise FormatError(f"unrepresentable tensor extents: {exc}") from None
-    # native-endian writable copy
-    return array.astype(dtype.newbyteorder("="), copy=True), pos + nbytes
+    array = array.astype(dtype.newbyteorder("="), copy=False)
+    array.flags.writeable = False
+    return array, pos + nbytes
 
 
 def write_tensor(path, array):
@@ -77,11 +90,12 @@ def write_tensor(path, array):
 
 
 def read_tensor(path):
-    """Read one tensor from ``path``; trailing bytes are rejected."""
+    """Read one tensor from ``path`` into a writable, aligned array of its
+    own; trailing bytes are rejected."""
     with open(path, "rb") as fh:
         data = fh.read()
     array, end = tensor_from_bytes(data)
     if end != len(data):
         raise FormatError(f"{len(data) - end} trailing bytes after tensor "
                           f"payload")
-    return array
+    return array.copy()

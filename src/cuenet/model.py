@@ -24,7 +24,7 @@ from . import fusion as fusion_ops
 from .blocks import local_uniblock_forward
 from .config import PATCH, TEMPORAL_KERNEL
 from .crop import apply_crop, compute_crop_box
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .global_block import global_uniblock_forward
 from .instrument import record_shape, stage, tracing
 from .tensor import check_tensor, conv3d, dtype_of
@@ -34,47 +34,68 @@ from .weights import bind_parameters
 def resize_bilinear(video, out_h, out_w):
     """Per-frame bilinear resample with half-pixel-aligned sample centers.
 
-    Equal input and output extents return the input unchanged.  Sample
-    coordinates clamp at the border, matching the usual edge-replicate
-    convention.  Interpolation weights are cast to the clip's precision.
+    Sample coordinates clamp at the border, matching the usual
+    edge-replicate convention.  Interpolation weights are cast to the
+    clip's precision.  The clip may be any view, strided, read-only or
+    misaligned (a crop of a decoded file), and is never written.  Equal
+    input and output extents return the clip unresampled as an aligned,
+    C-contiguous array: the input itself when it already is one, else one
+    copy.  A target extent below one raises ``ConfigError``; a clip with
+    empty frames raises ``ShapeError``.
 
-    The resample is separable: one pass interpolates whole rows along H,
-    a second interpolates the result along W.  Each pass gathers the two
-    neighbour rows (or columns) ``a`` and ``b`` and forms the lerp
-    ``a + (b - a) * f`` in place in ``b``, so a pass holds two gathered
-    arrays and no product temporaries, and the input is never modified.
-    The W pass spreads its weights over the channels, to ``(out_w, c)``,
-    so the product's inner loop runs over whole rows rather than over the
+    The resample is separable and runs one frame at a time into one
+    preallocated ``(t, out_h, out_w, c)`` output.  The H pass gathers the
+    two neighbour rows ``a`` and ``b`` of every output row out of the frame
+    (whole-row copies, the only reads of the clip, so its strides and
+    alignment cost nothing later) and forms the lerp ``a + (b - a) * f`` in
+    place in ``b``.  The W pass gathers the two neighbour pixels of every
+    output pixel out of those rows, ``b`` straight into the output frame,
+    and lerps the same way.  Every buffer is frame-sized, so it stays in
+    cache.  The float operations are those of a whole-clip H pass followed
+    by a whole-clip W pass, in the same order, so the bytes are the same
+    too.  The W weights are spread over the channels, to ``(out_w, c)``, so
+    the product's inner loop runs over whole rows rather than over the
     ``c`` channels of one pixel.
     """
     check_tensor(video, rank=4, name="video")
     t, h, w, c = video.shape
-    if (h, w) == (out_h, out_w):
-        return video
     if out_h < 1 or out_w < 1:
         raise ConfigError(f"resize target must be positive, got "
                           f"({out_h}, {out_w})")
+    if h < 1 or w < 1:
+        raise ShapeError(f"cannot resample empty {h}x{w} frames")
+    if (h, w) == (out_h, out_w):
+        return np.require(video, requirements=("A", "C"))
 
-    def resample(src, axis, out_extent):
-        in_extent = src.shape[axis]
+    def taps(in_extent, out_extent):
         centers = (np.arange(out_extent) + 0.5) * (in_extent / out_extent) \
             - 0.5
         centers = np.clip(centers, 0.0, in_extent - 1.0)
         lo = np.floor(centers).astype(np.int64)
         hi = np.minimum(lo + 1, in_extent - 1)
-        frac = (centers - lo).astype(video.dtype)
-        out = np.take(src, hi, axis=axis)
-        low = np.take(src, lo, axis=axis)
-        if axis == 1:
-            weights = frac.reshape(out_extent, 1, 1)
-        else:
-            weights = np.repeat(frac, c).reshape(out_extent, c)
-        out -= low
-        out *= weights
-        out += low
-        return out
+        return lo, hi, (centers - lo).astype(video.dtype)
 
-    return resample(resample(video, 1, out_h), 2, out_w)
+    lo_h, hi_h, frac_h = taps(h, out_h)
+    lo_w, hi_w, frac_w = taps(w, out_w)
+    weight_h = frac_h.reshape(out_h, 1, 1)
+    weight_w = np.repeat(frac_w, c).reshape(out_w, c)
+    out = np.empty((t, out_h, out_w, c), dtype=video.dtype)
+    low = np.empty((out_h, out_w, c), dtype=video.dtype)
+    for frame, dest in zip(video, out):
+        # indexing copies the rows straight out of a strided or misaligned
+        # frame; np.take would first copy the whole frame contiguous
+        rows = frame[hi_h]
+        low_rows = frame[lo_h]
+        rows -= low_rows
+        rows *= weight_h
+        rows += low_rows
+        # indices are in range, so "clip" only skips take's output buffer
+        np.take(rows, hi_w, axis=1, out=dest, mode="clip")
+        np.take(rows, lo_w, axis=1, out=low, mode="clip")
+        dest -= low
+        dest *= weight_w
+        dest += low
+    return out
 
 
 def backbone_forward(video, params, cfg):
@@ -125,8 +146,10 @@ def forward(video, detections, container, cfg, trace=None):
 
     ``detections`` may be None to skip the crop policy entirely.  The clip's
     frame count, channel count, and precision must match the configuration;
-    spatial extents are free because the resampler normalizes them.
-    ``trace`` is the shape sink for the call (None records nothing).
+    spatial extents are free because the resampler normalizes them.  The
+    clip may be any view (read-only, strided, misaligned, as decoding and
+    cropping hand it over) and is never written.  ``trace`` is the shape
+    sink for the call (None records nothing).
     """
     check_tensor(video, rank=4, name="video")
     params = bind_parameters(container, cfg)

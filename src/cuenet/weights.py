@@ -291,7 +291,7 @@ def load_weights(path, precision=None, allow_widen=False):
     With ``precision`` set, a stored precision that differs is an error
     unless it is single and ``allow_widen`` permits the exact single-to-
     double promotion.  An entry holding NaN or an infinity is a format
-    error that names the first such entry.
+    error that names the first such entry.  Every entry owns its data.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -338,6 +338,8 @@ def load_weights(path, precision=None, allow_widen=False):
             raise FormatError(f"weight {name!r}: payload offset "
                               f"{blob_offset} beyond file end")
         array, _ = ctf.tensor_from_bytes(data, blob_offset)
+        # an aligned, writable copy that does not keep the file's bytes alive
+        array = array.copy()
         if tuple(array.shape) != tuple(shape):
             raise FormatError(f"weight {name!r}: payload extents "
                               f"{tuple(array.shape)} disagree with manifest "

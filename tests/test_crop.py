@@ -220,6 +220,15 @@ class TestApply:
         assert out.shape == (4, 4, 4, 3)
         assert np.array_equal(out, video[:, 1:5, 2:6, :])
 
+    def test_region_is_a_view(self):
+        video = np.zeros((2, 8, 8, 3))
+        video.flags.writeable = False
+        decision = crop.CropDecision(
+            applied=True, box=crop.BBox(2.0, 1.0, 6.0, 5.0), max_people=2)
+        out = crop.apply_crop(video, decision)
+        assert np.shares_memory(out, video)
+        assert not out.flags.writeable
+
     def test_fractional_box_rounds_outward(self):
         video = np.zeros((1, 10, 10, 1))
         decision = crop.CropDecision(

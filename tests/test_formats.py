@@ -2,6 +2,7 @@
 
 import dataclasses
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -78,6 +79,20 @@ class TestTensorFile:
         with pytest.raises(ShapeError):
             ctf.tensor_bytes(np.zeros(3, dtype=np.int64))
 
+    @pytest.mark.parametrize("buffer_type", [bytes, bytearray])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_decode_is_read_only_view_of_buffer(self, buffer_type, dtype):
+        array = np.arange(24.0, dtype=dtype).reshape(2, 3, 4)
+        buffer = buffer_type(ctf.tensor_bytes(array))
+        decoded, end = ctf.tensor_from_bytes(buffer)
+        assert end == len(buffer)
+        assert np.array_equal(decoded, array)
+        assert not decoded.flags.writeable
+        if sys.byteorder == "little":
+            assert np.shares_memory(decoded, np.frombuffer(buffer, np.uint8))
+        with pytest.raises(ValueError, match="read-only"):
+            decoded[0, 0, 0] = 1.0
+
 
 def tiny_config(**overrides):
     base = dict(local_depth=1, local_attention=(ATTENTION_SELF,))
@@ -123,6 +138,20 @@ class TestWeightContainer:
         for name in container.names():
             assert np.array_equal(back[name], container[name])
         weights.bind_parameters(back, cfg)
+
+    @pytest.mark.parametrize("precision, widen", [("single", False),
+                                                  ("double", False),
+                                                  ("single", True)])
+    def test_loaded_entries_are_aligned_writable_and_own_data(
+            self, tmp_path, precision, widen):
+        path = tmp_path / "w.cwc"
+        weights.save_weights(
+            weights.init_weights(tiny_config(precision=precision)), path)
+        back = weights.load_weights(path, precision="double" if widen
+                                    else None, allow_widen=widen)
+        for name in back.names():
+            flags = back[name].flags
+            assert flags.aligned and flags.writeable and flags.owndata, name
 
     def test_second_save_is_byte_identical(self, tmp_path):
         cfg = tiny_config(precision="single")

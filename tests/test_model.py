@@ -2,6 +2,7 @@
 
 import dataclasses
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuenet import fusion as fusion_ops
-from cuenet import analysis, model, weights
+from cuenet import analysis, ctf, model, weights
 from cuenet.attention import (ATTENTION_EAA, ATTENTION_KINDS, ATTENTION_MEAA,
                               ATTENTION_SELF, AdditiveParams, MhsaParams)
 from cuenet.blocks import local_uniblock_forward
 from cuenet.config import desk_preset
 from cuenet.crop import parse_detections
-from cuenet.errors import BoundsError, ConfigError
+from cuenet.errors import BoundsError, ConfigError, ShapeError
 from cuenet.global_block import global_uniblock_forward
 from cuenet.instrument import (UNATTRIBUTED, MacCounter, counting,
                                record_shape, tracing)
@@ -128,6 +129,62 @@ class TestResize:
     def test_rejects_empty_target(self):
         with pytest.raises(ConfigError):
             model.resize_bilinear(np.zeros((1, 4, 4, 1)), 0, 4)
+
+    @pytest.mark.parametrize("shape", [(2, 0, 5, 3), (2, 5, 0, 3),
+                                       (2, 0, 0, 3)])
+    def test_rejects_empty_source(self, shape):
+        with pytest.raises(ShapeError, match="empty"):
+            model.resize_bilinear(np.zeros(shape), 4, 4)
+        cfg = small_config(frames=2)
+        with pytest.raises(ShapeError, match="empty"):
+            model.forward(np.zeros(shape), None, weights.init_weights(cfg),
+                          cfg)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           dtype=st.sampled_from((np.float32, np.float64)),
+           extents=st.tuples(st.integers(1, 3), st.integers(1, 12),
+                             st.integers(1, 12), st.integers(1, 4)),
+           margins=st.tuples(*[st.integers(0, 3)] * 4),
+           layout=st.sampled_from(("contiguous", "cropped", "misaligned",
+                                   "misaligned cropped")),
+           target=st.tuples(st.integers(1, 24), st.integers(1, 24)))
+    def test_any_view_matches_whole_clip_reference_bytes(
+            self, seed, dtype, extents, margins, layout, target):
+        # the clip as decoding and cropping hand it over: a strided region
+        # and/or a read-only view at an odd byte offset of a file's bytes
+        t, h, w, c = extents
+        top, bottom, left, right = margins if "cropped" in layout \
+            else (0, 0, 0, 0)
+        source = np.random.default_rng(seed).standard_normal(
+            (t, top + h + bottom, left + w + right, c)).astype(dtype)
+        if "misaligned" in layout:
+            source = np.frombuffer(b"\0\0" + source.tobytes(), dtype,
+                                   offset=2).reshape(source.shape)
+            assert not source.flags.aligned and not source.flags.writeable
+        video = source[:, top:top + h, left:left + w]
+        before = source.tobytes()
+        got = model.resize_bilinear(video, *target)
+        want = resize_reference(np.ascontiguousarray(video), *target)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.aligned and got.flags.c_contiguous
+        assert source.tobytes() == before
+
+    @pytest.mark.parametrize("layout", ["cropped", "misaligned"])
+    def test_equal_extents_give_aligned_contiguous_copy_of_a_view(self,
+                                                                  layout):
+        rng = np.random.default_rng(4)
+        clip = rng.standard_normal((2, 8, 6, 3)).astype(np.float32)
+        if layout == "cropped":
+            video = clip[:, 1:6, 2:5]
+        else:
+            video = np.frombuffer(b"\0\0" + clip.tobytes(), np.float32,
+                                  offset=2).reshape(clip.shape)
+        out = model.resize_bilinear(video, *video.shape[1:3])
+        assert out.flags.aligned and out.flags.c_contiguous
+        assert not np.shares_memory(out, video)
+        assert np.array_equal(out, video)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -365,6 +422,62 @@ class TestForward:
         logits = model.forward(video, None, container, cfg)
         assert logits.dtype == np.float32
         assert logits.shape == (2,)
+
+
+class TestCopyContract:
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("source", [(48, 40), (32, 32)])
+    @pytest.mark.parametrize("cropped", [False, True])
+    def test_forward_on_decoded_view_matches_aligned_copy(
+            self, precision, source, cropped):
+        # the clip as a decoder hands it over: a read-only view at a
+        # misaligned offset of the file bytes
+        cfg = small_config(precision=precision)
+        container = weights.init_weights(cfg)
+        height, width = source
+        clip = np.random.default_rng(80).standard_normal(
+            (cfg.frames, height, width, cfg.channels))
+        buffer = bytearray(ctf.tensor_bytes(clip.astype(dtype_of(precision))))
+        video, _ = ctf.tensor_from_bytes(buffer)
+        assert not video.flags.writeable
+        if sys.byteorder == "little":
+            assert not video.flags.aligned
+        detections = None
+        if cropped:
+            detections = parse_detections("".join(
+                f'{{"frame": {t}, "boxes": [[2, 3, {width // 2}, 20], '
+                f'[5, 4, {width - 3}, {height - 2}]]}}\n'
+                for t in range(cfg.frames)), height, width)
+        before = bytes(buffer)
+        got = model.forward(video, detections, container, cfg)
+        want = model.forward(video.copy(), detections, container, cfg)
+        assert got.tobytes() == want.tobytes()
+        assert bytes(buffer) == before
+
+    def test_peak_memory_does_not_grow_with_the_source(self):
+        # large-frame geometry: 16 single-precision 112x112 frames
+        cfg = desk_preset(frames=16, height=112, width=112,
+                          precision="single",
+                          local_attention=(ATTENTION_MEAA, ATTENTION_EAA),
+                          global_attention=ATTENTION_SELF)
+        container = weights.init_weights(cfg)
+        rng = np.random.default_rng(81)
+
+        def peak_bytes(height, width):
+            blob = ctf.tensor_bytes(rng.random(
+                (cfg.frames, height, width, 3)).astype(np.float32))
+            tracemalloc.start()
+            try:
+                video, _ = ctf.tensor_from_bytes(blob)
+                model.forward(video, None, container, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(112, 112)  # warm-up: one-time caches and imports
+        large, same = peak_bytes(240, 320), peak_bytes(112, 112)
+        assert abs(large - same) <= 0.01 * same, (large, same)
+        assert large < cfg.frames * 240 * 320 * 3 * 4
 
 
 class TestHotPath:

@@ -6,11 +6,11 @@ genuinely different computation routes.
 
 The ``*_reference`` functions are the earlier numpy formulations of kernels
 that now build their buffers and views by hand (``np.pad``,
-``sliding_window_view``, ``x.mean``/``x.var``, a per-axis weight
-broadcast), and of the token blocks as they were composed before the blocks
-shared one feed-forward unit and one spatial convolution.  They do the same
-arithmetic in the same order, so the rewritten code must match them byte for
-byte, not only within a tolerance.
+``sliding_window_view``, ``x.mean``/``x.var``, a whole-clip resample with
+a per-axis weight broadcast), and of the token blocks as they were composed
+before the blocks shared one feed-forward unit and one spatial convolution.
+They do the same arithmetic in the same order, so the rewritten code must
+match them byte for byte, not only within a tolerance.
 """
 
 import math
@@ -166,8 +166,9 @@ def layer_norm_reference(x, gamma, beta, eps=1e-6):
 
 
 def resize_reference(video, out_h, out_w):
-    """``model.resize_bilinear`` with each pass's weights broadcast from
-    ``frac.reshape(out_extent, 1, ...)``."""
+    """``model.resize_bilinear`` as two whole-clip passes, H then W, each
+    gathering from the entire clip, with each pass's weights broadcast
+    from ``frac.reshape(out_extent, 1, ...)``."""
     if video.shape[1:3] == (out_h, out_w):
         return video
 
