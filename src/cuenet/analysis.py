@@ -43,7 +43,7 @@ CONVENTION = ("one fused multiply-add = 1 unit; normalization, softmax, "
 # analytic work model
 # ---------------------------------------------------------------------------
 
-def attention_macs(kind, n, d, heads=1, pooled=True):
+def attention_macs(kind, n, d, pooled=True):
     """Multiply-adds for one attention application over n tokens of width d.
 
     ``pooled`` adds the final mean that reduces the rows to one vector.
@@ -103,12 +103,11 @@ def count_flops(cfg):
         stages[f"local{i}.lt"] = 2 * tokens * d * d + t2 * s * d \
             * cfg.lt_kernel
         stages[f"local{i}.attn"] = t2 * attention_macs(kind, m, d,
-                                                       heads=cfg.heads,
                                                        pooled=False)
         stages[f"local{i}.ffn"] = 2 * tokens * d * hidden
     stages["global.dpe"] = t2 * s * d * DPE_KERNEL ** 3
     stages["global.attn"] = attention_macs(cfg.global_attention, tokens, d,
-                                           heads=cfg.heads, pooled=True)
+                                           pooled=True)
     stages["global.ffn"] = 2 * d * hidden
     stages["fusion"] = 3 * d + d * cfg.num_classes
     return FlopsReport(config_text=serialize_config(cfg), stages=stages)
@@ -127,13 +126,13 @@ class FlopsVerification:
         return not self.mismatches
 
 
-def verify_flops(cfg, seed=0):
-    """Run the network on a random probe clip and compare counted work.
+def verify_flops(cfg):
+    """Run the network on a seed-0 probe clip and compare counted work.
 
     Every stage must match the analytic model exactly; any unattributed
     work is itself a mismatch.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     video = rng.standard_normal(
         (cfg.frames, cfg.height, cfg.width, cfg.channels))
     video = video.astype(dtype_of(cfg.precision))
@@ -157,9 +156,9 @@ def verify_flops(cfg, seed=0):
                              mismatches=mismatches)
 
 
-def require_flops_match(cfg, seed=0):
+def require_flops_match(cfg):
     """Raise :class:`VerificationError` unless counts agree everywhere."""
-    verification = verify_flops(cfg, seed=seed)
+    verification = verify_flops(cfg)
     if not verification.ok:
         raise VerificationError("work count mismatch:\n  "
                                 + "\n  ".join(verification.mismatches))
@@ -177,15 +176,15 @@ class MemEstimate:
     kind: str
     n: int
     d: int
-    precision: str
     elements: int
 
     @property
     def bytes(self):
-        return self.elements * np.dtype(dtype_of(self.precision)).itemsize
+        """The peak in float64, the precision of the bench instances."""
+        return self.elements * 8
 
 
-def estimate_memory(kind, n, d, precision="double"):
+def estimate_memory(kind, n, d):
     """Closed-form peak of the mechanism's buffer schedule, in elements.
 
     Inputs and parameters are excluded; the peaks cover the intermediates
@@ -194,7 +193,6 @@ def estimate_memory(kind, n, d, precision="double"):
     if n < 1 or d < 1:
         raise ParamError(f"token count and width must be positive, got "
                          f"n={n}, d={d}")
-    dtype_of(precision)  # raises ParamError for an unknown name
     if kind == ATTENTION_MEAA:
         elements = 2 * n * d + 2 * d
     elif kind == ATTENTION_EAA:
@@ -204,20 +202,27 @@ def estimate_memory(kind, n, d, precision="double"):
     else:
         raise ParamError(f"unknown attention kind {kind!r}; expected one of "
                          f"{ATTENTION_KINDS}")
-    return MemEstimate(kind=kind, n=n, d=d, precision=precision,
-                       elements=elements)
+    return MemEstimate(kind=kind, n=n, d=d, elements=elements)
 
 
-def _attention_instance(kind, n, d, seed, dtype=np.float64):
-    """Seeded inputs, parameters, and a runner closure for one mechanism."""
+def _instance_elements(kind, n, d):
+    """Elements of the inputs and parameters _attention_instance draws."""
+    if kind == ATTENTION_SELF:
+        return n * d + 3 * d * d
+    return n * d + 4 * d * d + (5 if kind == ATTENTION_MEAA else 3) * d
+
+
+def _attention_instance(kind, n, d, seed):
+    """Seeded float64 inputs, parameters, and a runner closure for one
+    mechanism."""
     kind_id = ATTENTION_KINDS.index(kind)
     rng = np.random.default_rng([seed, n, d, kind_id])
     spread = 1.0 / np.sqrt(d)
 
     def draw(shape):
-        return (rng.standard_normal(shape) * spread).astype(dtype)
+        return rng.standard_normal(shape) * spread
 
-    x = rng.standard_normal((n, d)).astype(dtype)
+    x = rng.standard_normal((n, d))
     if kind == ATTENTION_SELF:
         wq, wk, wv = draw((d, d)), draw((d, d)), draw((d, d))
         return lambda: attention.softmax_attention(x, wq, wk, wv, 1)
@@ -231,9 +236,9 @@ def _attention_instance(kind, n, d, seed, dtype=np.float64):
     return lambda: attention.eaa_original(x, params)
 
 
-def measured_attention_elements(kind, n, d, seed=0):
+def measured_attention_elements(kind, n, d):
     """Instrumented high-water mark of one mechanism run."""
-    run = _attention_instance(kind, n, d, seed)
+    run = _attention_instance(kind, n, d, 0)
     meter = MemoryMeter()
     with metering(meter):
         run()
@@ -255,38 +260,38 @@ class BenchResult:
     checksum: str
 
 
-# Largest intermediate peak (estimate_memory bytes) a bench size may need.
+# Largest float64 footprint a bench size may need: the intermediate peak
+# (estimate_memory) plus the inputs and parameters of its instance.
 BENCH_MEMORY_LIMIT = 1 << 30
 
 
-def bench_attention(kind, sizes, d=64, reps=7, seed=0, warmup=2):
-    """Time one mechanism across token counts.
+def bench_attention(kind, sizes, d=64, reps=7, seed=0):
+    """Time one mechanism across token counts, after two warmup runs.
 
     At least five repetitions are required so the median is meaningful.
-    A size whose intermediates would exceed :data:`BENCH_MEMORY_LIMIT`
-    bytes is refused before any input is drawn.  The checksum digests the
-    output bytes; identical seeds must reproduce it exactly.
+    A size whose intermediates, inputs and parameters together would
+    exceed :data:`BENCH_MEMORY_LIMIT` bytes is refused before any input is
+    drawn.  The checksum digests the output bytes; identical seeds must
+    reproduce it exactly.
     """
     if reps < 5:
         raise ParamError(f"need at least 5 repetitions for a stable median, "
                          f"got {reps}")
     if not sizes:
         raise ParamError("empty size sweep")
-    if any(n < 1 for n in sizes):
-        raise ParamError(f"token counts must be positive: {sizes}")
-    if d < 1:
-        raise ParamError(f"token width must be positive, got {d}")
+    if seed < 0:
+        raise ParamError(f"seed must be non-negative, got {seed}")
     for n in sizes:
-        need = estimate_memory(kind, n, d).bytes
+        need = 8 * (estimate_memory(kind, n, d).elements
+                    + _instance_elements(kind, n, d))
         if need > BENCH_MEMORY_LIMIT:
             raise ParamError(f"{kind} at n={n} needs {need} bytes, over the "
                              f"bench limit of {BENCH_MEMORY_LIMIT}")
     results = []
     for n in sizes:
         run = _attention_instance(kind, n, d, seed)
-        out = None
-        for _ in range(warmup):
-            out = run()
+        for _ in range(2):  # warmup
+            run()
         times = []
         for _ in range(reps):
             start = time.perf_counter_ns()
@@ -450,12 +455,21 @@ def grad_check(modules=("meaa", "fuse", "classify"), eps=1e-5, tol=1e-4,
 
     Each module draws ``instances`` random problem sizes; a group passes
     when analytic and numeric gradients agree within ``tol`` (absolute and
-    relative) at every element of every instance.  At least one instance
-    is required, so a passing report has checked something.
+    relative) at every element of every instance.  At least one module
+    and one instance are required, so a passing report has checked
+    something; ``eps`` and ``tol`` must be finite and positive.
     """
+    if not modules:
+        raise ParamError("no gradient modules to check")
     if instances < 1:
         raise ParamError(f"need at least 1 instance per module, got "
                          f"{instances}")
+    for name, value in (("eps", eps), ("tol", tol)):
+        if not 0 < value < np.inf:
+            raise ParamError(f"{name} must be finite and positive, got "
+                             f"{value}")
+    if seed < 0:
+        raise ParamError(f"seed must be non-negative, got {seed}")
     report = GradCheckReport()
     for module in modules:
         if module not in _GRAD_MODULES:

@@ -70,7 +70,7 @@ def _write_atomic(path, data):
 
 
 def _emit(args, text):
-    if getattr(args, "out", None):
+    if args.out:
         _write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
@@ -88,17 +88,16 @@ def _read_text(path):
 def _load_config(args):
     from . import config as config_mod
     from dataclasses import replace
-    if getattr(args, "config", None):
+    if args.config:
         cfg = config_mod.parse_config(_read_text(args.config))
     else:
-        preset = getattr(args, "preset", "desk")
-        cfg = config_mod.desk_preset() if preset == "desk" \
+        cfg = config_mod.desk_preset() if args.preset == "desk" \
             else config_mod.paper_preset()
-    if getattr(args, "attention", None):
+    if args.attention:
         cfg = cfg.with_attention(_CLI_ATTENTION[args.attention], "global")
-    if getattr(args, "precision", None):
+    if args.precision:
         cfg = replace(cfg, precision=_CLI_PRECISION[args.precision])
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
 
@@ -160,11 +159,16 @@ def cmd_crop(args):
 def cmd_infer(args):
     import numpy as np
     from . import crop, fusion, model
-    from .weights import load_weights
+    from .tensor import dtype_of
+    from .weights import INIT_SIZE_LIMIT, load_weights
     if args.threads is not None and args.threads < 1:
         raise ConfigError(f"thread count must be at least 1, got "
                           f"{args.threads}")
     cfg = _load_config(args)
+    if cfg.frames * cfg.height * cfg.width * cfg.channels \
+            * np.dtype(dtype_of(cfg.precision)).itemsize > INIT_SIZE_LIMIT:
+        raise ConfigError(f"network input of this configuration exceeds "
+                          f"the {INIT_SIZE_LIMIT >> 30} GiB limit")
     video, sequence = _read_clip(args)
     container = load_weights(args.weights, precision=cfg.precision,
                              allow_widen=args.precision is not None)

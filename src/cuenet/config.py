@@ -1,12 +1,13 @@
 """Model configuration: validation, flat-file round trip, presets.
 
-Configurations serialize to a flat ``key=value`` text form with one key per
-line.  Serialization is canonical (fixed key order, normalized values), so
-serialize -> parse -> serialize is byte-identical; parsing additionally
-tolerates blank lines, ``#`` comments, and surrounding whitespace.
+Configurations serialize to a flat ``key=value`` text form, one line per
+field of :class:`ModelConfig` in declaration order; the field's type picks
+the text form (a float as its ``repr``, a tuple as a comma list).  The form
+is canonical, so serialize -> parse -> serialize is byte-identical; parsing
+additionally tolerates blank lines, ``#`` comments, and whitespace.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .attention import ATTENTION_MEAA, ATTENTION_SELF, check_kind
 from .errors import ConfigError
@@ -15,10 +16,6 @@ from .tensor import DTYPES
 PATCH = 16          # spatial patch edge, fixed by the backbone kernel
 TEMPORAL_KERNEL = 3  # backbone temporal extent, zero-padded to preserve T
 DPE_KERNEL = 3      # positional-encoding window edge, all three axes
-
-_KEY_ORDER = ("frames", "height", "width", "channels", "hidden", "heads",
-              "local_depth", "lt_kernel", "ffn_ratio", "local_attention",
-              "global_attention", "num_classes", "seed", "precision")
 
 
 @dataclass(frozen=True)
@@ -41,24 +38,13 @@ class ModelConfig:
     precision: str
 
     def __post_init__(self):
-        def positive(name, value):
-            if not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got "
+        for f in fields(self):  # every integer is positive, two may be 0
+            value = getattr(self, f.name)
+            floor = 0 if f.name in ("local_depth", "seed") else 1
+            if f.type is int and (not isinstance(value, int) or value < floor):
+                sign = "non-negative" if floor == 0 else "positive"
+                raise ConfigError(f"{f.name} must be a {sign} integer, got "
                                   f"{value!r}")
-        positive("frames", self.frames)
-        positive("height", self.height)
-        positive("width", self.width)
-        positive("channels", self.channels)
-        positive("hidden", self.hidden)
-        positive("heads", self.heads)
-        positive("lt_kernel", self.lt_kernel)
-        positive("num_classes", self.num_classes)
-        if not isinstance(self.local_depth, int) or self.local_depth < 0:
-            raise ConfigError(f"local_depth must be a non-negative integer, "
-                              f"got {self.local_depth!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got "
-                              f"{self.seed!r}")
         if self.frames % 2 != 0:
             raise ConfigError(f"frames must be even (stride-2 temporal "
                               f"selection), got {self.frames}")
@@ -139,21 +125,33 @@ class ModelConfig:
 
 def serialize_config(cfg):
     """Canonical flat text form of a configuration."""
-    values = {
-        "frames": cfg.frames, "height": cfg.height, "width": cfg.width,
-        "channels": cfg.channels, "hidden": cfg.hidden, "heads": cfg.heads,
-        "local_depth": cfg.local_depth, "lt_kernel": cfg.lt_kernel,
-        "ffn_ratio": repr(float(cfg.ffn_ratio)),
-        "local_attention": ",".join(cfg.local_attention),
-        "global_attention": cfg.global_attention,
-        "num_classes": cfg.num_classes, "seed": cfg.seed,
-        "precision": cfg.precision,
-    }
-    return "".join(f"{key}={values[key]}\n" for key in _KEY_ORDER)
+    lines = []
+    for f in fields(ModelConfig):
+        value = getattr(cfg, f.name)
+        if f.type is float:
+            value = repr(float(value))
+        elif f.type is tuple:
+            value = ",".join(value)
+        lines.append(f"{f.name}={value}\n")
+    return "".join(lines)
+
+
+def _parse_value(key, kind, text):
+    """One value's text as the field type ``kind`` asks for."""
+    if kind is tuple:
+        return tuple(k for k in text.split(",") if k)
+    if kind is str:
+        return text
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {noun}, got {text!r}") from None
 
 
 def parse_config(text):
     """Parse the flat ``key=value`` form back into a configuration."""
+    kinds = {f.name: f.type for f in fields(ModelConfig)}
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -164,37 +162,16 @@ def parse_config(text):
                               f"{stripped!r}")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KEY_ORDER:
+        if key not in kinds:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value
-    missing = [key for key in _KEY_ORDER if key not in raw]
+    missing = [key for key in kinds if key not in raw]
     if missing:
         raise ConfigError(f"missing keys: {', '.join(missing)}")
-
-    def as_int(key):
-        try:
-            return int(raw[key])
-        except ValueError:
-            raise ConfigError(f"{key} must be an integer, got "
-                              f"{raw[key]!r}") from None
-
-    try:
-        ratio = float(raw["ffn_ratio"])
-    except ValueError:
-        raise ConfigError(f"ffn_ratio must be a number, got "
-                          f"{raw['ffn_ratio']!r}") from None
-    local = tuple(k for k in raw["local_attention"].split(",") if k)
-    return ModelConfig(
-        frames=as_int("frames"), height=as_int("height"),
-        width=as_int("width"), channels=as_int("channels"),
-        hidden=as_int("hidden"), heads=as_int("heads"),
-        local_depth=as_int("local_depth"), lt_kernel=as_int("lt_kernel"),
-        ffn_ratio=ratio, local_attention=local,
-        global_attention=raw["global_attention"],
-        num_classes=as_int("num_classes"), seed=as_int("seed"),
-        precision=raw["precision"])
+    return ModelConfig(**{key: _parse_value(key, kind, raw[key])
+                          for key, kind in kinds.items()})
 
 
 def desk_preset(**overrides):

@@ -23,13 +23,14 @@ import struct
 import numpy as np
 
 from .errors import FormatError
-from .tensor import check_tensor, precision_of
+from .tensor import DTYPES, check_tensor, precision_of
 
 MAGIC = b"CTF1"
 # The precision flag of tensor files, also used by weight containers.
 FLAG_OF = {"single": 0, "double": 1}
 PRECISION_OF_FLAG = {flag: name for name, flag in FLAG_OF.items()}
-_DTYPE_OF_FLAG = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_DTYPE_OF_FLAG = {flag: np.dtype(DTYPES[name]).newbyteorder("<")
+                  for name, flag in FLAG_OF.items()}
 
 
 def tensor_bytes(array):

@@ -46,7 +46,7 @@ from .instrument import add_macs
 
 # Supported element precisions, keyed by their external names.
 DTYPES = {"single": np.float32, "double": np.float64}
-PRECISION_NAMES = {np.dtype(np.float32): "single", np.dtype(np.float64): "double"}
+PRECISION_NAMES = {np.dtype(dtype): name for name, dtype in DTYPES.items()}
 
 
 def dtype_of(precision):
@@ -270,7 +270,7 @@ class LnParams:
     beta: np.ndarray
 
 
-def layer_norm(x, gamma, beta, eps=1e-6):
+def layer_norm(x, gamma, beta):
     """Normalize the last axis to zero mean, unit population variance.
 
     ``gamma`` and ``beta`` are per-feature affine terms of extent equal to
@@ -278,7 +278,7 @@ def layer_norm(x, gamma, beta, eps=1e-6):
 
     One centered copy ``x - mean`` serves both the variance and the output:
     the square root, the division and the affine terms run in place in it,
-    giving the bytes of ``(x - x.mean()) / sqrt(x.var() + eps) * gamma +
+    giving the bytes of ``(x - x.mean()) / sqrt(x.var() + 1e-6) * gamma +
     beta``.  A row whose variance is not finite (a value so large that its
     square overflows) comes out NaN, so it cannot pass on as a silently
     zeroed row.
@@ -292,13 +292,11 @@ def layer_norm(x, gamma, beta, eps=1e-6):
                          f"feature extent {d}")
     _check_same_precision(x, gamma, "layer_norm")
     _check_same_precision(x, beta, "layer_norm")
-    if eps <= 0:
-        raise ParamError(f"layer_norm eps must be positive, got {eps}")
     centered = x - np.add.reduce(x, axis=-1, keepdims=True) / d
     var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
     if not np.isfinite(var).all():
         var[~np.isfinite(var)] = np.nan
-    var += x.dtype.type(eps)
+    var += x.dtype.type(1e-6)
     np.sqrt(var, out=var)
     centered /= var
     centered *= gamma

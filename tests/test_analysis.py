@@ -45,12 +45,6 @@ class TestAttentionMacs:
         assert quad_part(10) == 2 * 100 * d
         assert quad_part(20) == 4 * quad_part(10)
 
-    def test_head_count_does_not_change_total(self):
-        for heads in (1, 2, 8):
-            assert analysis.attention_macs(ATTENTION_SELF, 12, 64,
-                                           heads=heads) \
-                == analysis.attention_macs(ATTENTION_SELF, 12, 64)
-
     def test_unknown_kind(self):
         with pytest.raises(ParamError):
             analysis.attention_macs("windowed", 2, 2)
@@ -175,11 +169,9 @@ class TestMemoryEstimate:
         # once the score matrices dominate, doubling n quadruples the rest
         assert quadratic(8192) == 4 * quadratic(4096)
 
-    def test_bytes_scale_with_precision(self):
-        est32 = analysis.estimate_memory(ATTENTION_MEAA, 10, 8, "single")
-        est64 = analysis.estimate_memory(ATTENTION_MEAA, 10, 8, "double")
-        assert est32.bytes == est32.elements * 4
-        assert est64.bytes == 2 * est32.bytes
+    def test_bytes_price_float64(self):
+        est = analysis.estimate_memory(ATTENTION_MEAA, 10, 8)
+        assert est.bytes == est.elements * 8
 
     @pytest.mark.parametrize("kind", ATTENTION_KINDS)
     def test_instrumented_peaks_match_estimates(self, kind):
@@ -191,8 +183,6 @@ class TestMemoryEstimate:
     def test_invalid_arguments(self):
         with pytest.raises(ParamError):
             analysis.estimate_memory(ATTENTION_MEAA, 0, 4)
-        with pytest.raises(ParamError):
-            analysis.estimate_memory(ATTENTION_MEAA, 4, 4, "half")
         with pytest.raises(ParamError):
             analysis.estimate_memory("windowed", 4, 4)
 
@@ -236,6 +226,20 @@ class TestBench:
             <= analysis.BENCH_MEMORY_LIMIT
         assert analysis.estimate_memory(ATTENTION_MEAA, 32768, 64).bytes \
             <= analysis.BENCH_MEMORY_LIMIT
+
+    def test_instance_over_memory_limit_refused_before_inputs(self,
+                                                              monkeypatch):
+        def no_inputs(*args):
+            raise AssertionError("inputs drawn for a refused size")
+        monkeypatch.setattr(analysis, "_attention_instance", no_inputs)
+        # 65,536 intermediate elements, but x and four 16384x16384 maps
+        # are 8.6 GB of f64
+        assert analysis.estimate_memory(ATTENTION_MEAA, 1, 16384).bytes \
+            <= analysis.BENCH_MEMORY_LIMIT
+        with pytest.raises(ParamError, match="limit"):
+            analysis.bench_attention(ATTENTION_MEAA, (1,), d=16384)
+        with pytest.raises(ParamError, match="limit"):
+            analysis.bench_attention(ATTENTION_SELF, (1,), d=8192)
 
     def test_csv_round_trip(self):
         results = analysis.bench_attention(ATTENTION_EAA, (4,), d=8, reps=5)

@@ -254,6 +254,16 @@ class TestInfer:
         proc = self.infer(workdir, "--threads", "0")
         assert proc.returncode == 3
 
+    def test_oversized_input_exits_3(self, workdir, tmp_path):
+        # a valid configuration whose input clip alone is 2**67 bytes
+        cfg = tmp_path / "tall.cfg"
+        cfg.write_text(serialize_config(desk_preset()).replace(
+            "height=32", f"height={16 * 2 ** 60}"))
+        proc = self.infer(workdir, "--config", str(cfg))
+        assert proc.returncode == 3
+        assert "limit" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_undecodable_detections_exit_2(self, workdir, tmp_path):
         bad = tmp_path / "latin1.jsonl"
         bad.write_bytes(b'{"frame": 0, "boxes": []}\xff\n')
@@ -537,6 +547,13 @@ class TestBench:
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
 
+    def test_negative_seed_exits_3(self):
+        proc = run_cli("bench", "--attention", "meaa", "--sizes", "8",
+                       "--d", "8", "--reps", "5", "--seed", "-1")
+        assert proc.returncode == 3
+        assert "seed" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestGradcheckCommand:
     def test_passes_with_report(self):
@@ -555,6 +572,17 @@ class TestGradcheckCommand:
         proc = run_cli("gradcheck", "--instances", instances)
         assert proc.returncode == 3
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("flag, value", (
+        ("--eps", "0"), ("--eps", "nan"), ("--eps", "inf"),
+        ("--tol", "nan"), ("--tol", "-1"), ("--modules", ","),
+        ("--seed", "-1")))
+    def test_out_of_range_flag_exits_3(self, flag, value):
+        proc = run_cli("gradcheck", "--instances", "1", flag, value)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "Warning" not in proc.stderr
 
 
 class TestSelftest:

@@ -6,9 +6,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuenet import config, ctf, weights
-from cuenet.attention import ATTENTION_EAA, ATTENTION_MEAA, ATTENTION_SELF
+from cuenet.attention import (ATTENTION_EAA, ATTENTION_KINDS, ATTENTION_MEAA,
+                              ATTENTION_SELF)
 from cuenet.config import desk_preset, parse_config, serialize_config
 from cuenet.errors import ConfigError, FormatError, ShapeError
 
@@ -394,7 +397,50 @@ class TestWeightNaming:
             weights.init_weights(desk_preset(hidden=100_000_000))
 
 
+@st.composite
+def valid_configs(draw):
+    """Any valid configuration: both precisions, 0-3 local blocks of mixed
+    kinds, integer and fractional ffn ratios."""
+    heads = draw(st.integers(1, 8))
+    depth = draw(st.integers(0, 3))
+    kinds = st.sampled_from(ATTENTION_KINDS)
+    return config.ModelConfig(
+        frames=2 * draw(st.integers(1, 64)),
+        height=16 * draw(st.integers(1, 2 ** 40)),
+        width=16 * draw(st.integers(1, 64)),
+        channels=draw(st.integers(1, 4)),
+        hidden=heads * draw(st.integers(1, 32)), heads=heads,
+        local_depth=depth, lt_kernel=2 * draw(st.integers(0, 3)) + 1,
+        ffn_ratio=draw(st.one_of(st.integers(1, 8), st.floats(1.0, 8.0))),
+        local_attention=tuple(draw(kinds) for _ in range(depth)),
+        global_attention=draw(kinds),
+        num_classes=draw(st.integers(1, 10)),
+        seed=draw(st.integers(0, 2 ** 64)),
+        precision=draw(st.sampled_from(("single", "double"))))
+
+
 class TestConfigText:
+    def test_desk_preset_text_pinned(self):
+        assert serialize_config(desk_preset()) == (
+            "frames=8\nheight=32\nwidth=32\nchannels=3\nhidden=64\n"
+            "heads=4\nlocal_depth=2\nlt_kernel=3\nffn_ratio=4.0\n"
+            "local_attention=self_attention,self_attention\n"
+            "global_attention=meaa\nnum_classes=2\nseed=2024\n"
+            "precision=double\n")
+
+    def test_keys_are_the_fields_in_order(self):
+        keys = [line.partition("=")[0] for line in
+                serialize_config(config.paper_preset()).splitlines()]
+        assert keys == [f.name for f in
+                        dataclasses.fields(config.ModelConfig)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_configs())
+    def test_round_trip_of_any_valid_config(self, cfg):
+        text = serialize_config(cfg)
+        assert parse_config(text) == cfg
+        assert serialize_config(parse_config(text)) == text
+
     def test_round_trip_is_byte_identical(self):
         for cfg in (desk_preset(),
                     desk_preset().with_attention(ATTENTION_MEAA,
@@ -430,6 +476,13 @@ class TestConfigText:
         text = serialize_config(desk_preset()).replace("frames=8",
                                                        "frames=eight")
         with pytest.raises(ConfigError, match="integer"):
+            parse_config(text)
+
+    def test_non_numeric_ratio(self):
+        text = serialize_config(desk_preset()).replace("ffn_ratio=4.0",
+                                                       "ffn_ratio=abc")
+        with pytest.raises(ConfigError,
+                           match="ffn_ratio must be a number, got 'abc'"):
             parse_config(text)
 
     def test_bare_line_rejected(self):
