@@ -28,12 +28,12 @@ from . import attention
 from .attention import (ATTENTION_EAA, ATTENTION_KINDS, ATTENTION_MEAA,
                         ATTENTION_SELF)
 from .config import DPE_KERNEL, PATCH, TEMPORAL_KERNEL, serialize_config
-from .errors import ParamError, VerificationError
+from .errors import ConfigError, ParamError, VerificationError
 from .fusion import fuse, classify, fuse_grad, classify_grad, FusionParams
 from .instrument import MacCounter, MemoryMeter, counting, metering
 from .model import bind_parameters, network_forward
 from .tensor import dtype_of
-from .weights import init_weights
+from .weights import INIT_SIZE_LIMIT, init_weights
 
 CONVENTION = ("one fused multiply-add = 1 unit; normalization, softmax, "
               "activations, and plain additions excluded")
@@ -130,8 +130,15 @@ def verify_flops(cfg):
     """Run the network on a seed-0 probe clip and compare counted work.
 
     Every stage must match the analytic model exactly; any unattributed
-    work is itself a mismatch.
+    work is itself a mismatch.  A float64 probe clip over
+    :data:`cuenet.weights.INIT_SIZE_LIMIT` bytes raises ``ConfigError``
+    before anything is drawn.
     """
+    clip_bytes = cfg.frames * cfg.height * cfg.width * cfg.channels * 8
+    if clip_bytes > INIT_SIZE_LIMIT:
+        raise ConfigError(f"probe clip of this configuration takes "
+                          f"{clip_bytes} bytes, over the "
+                          f"{INIT_SIZE_LIMIT >> 30} GiB limit")
     rng = np.random.default_rng(0)
     video = rng.standard_normal(
         (cfg.frames, cfg.height, cfg.width, cfg.channels))
@@ -188,7 +195,9 @@ def estimate_memory(kind, n, d):
     """Closed-form peak of the mechanism's buffer schedule, in elements.
 
     Inputs and parameters are excluded; the peaks cover the intermediates
-    announced to the memory meter by the pooled kernels.
+    announced to the memory meter by the pooled kernels, self-attention with
+    one head.  Its softmax normalizes the n-by-n scores in place, so the
+    quadratic term is one score matrix: 3*n*d + n*n.
     """
     if n < 1 or d < 1:
         raise ParamError(f"token count and width must be positive, got "
@@ -198,7 +207,7 @@ def estimate_memory(kind, n, d):
     elif kind == ATTENTION_EAA:
         elements = 3 * n * d + n + d
     elif kind == ATTENTION_SELF:
-        elements = max(3 * n * d + n * n, n * d + 2 * n * n)
+        elements = 3 * n * d + n * n
     else:
         raise ParamError(f"unknown attention kind {kind!r}; expected one of "
                          f"{ATTENTION_KINDS}")

@@ -25,20 +25,24 @@ one frame and the same values as t separate calls.
 The additive kernels and :func:`softmax_attention` announce intermediate
 buffer lifetimes to the active memory meter (see :mod:`cuenet.instrument`)
 under a fixed step schedule: a step's inputs stay live until its outputs
-exist, and a softmax materializes its weights in a fresh buffer.  The
-resulting high-water marks on (n, d) tokens, pooled and one head, in elements:
+exist, and a softmax normalizes its scores in place, so its weights are the
+scores buffer.  The resulting high-water marks on (n, d) tokens, pooled and
+one head, in elements:
 
 * meaa:               2*n*d + 2*d
 * eaa_original:       3*n*d + n + d
-* softmax_attention:  max(3*n*d + n*n, n*d + 2*n*n)
+* softmax_attention:  3*n*d + n*n
+
+A (t, n, d) stack with more than one head holds its context beside q, k, v
+and one head's scores: 4*t*n*d + t*n*n.
 
 Each buffer the schedule names is one allocation: bias and residual adds
-and the softmax's exponential and normalization run in place in it, and no
-kernel writes its inputs or parameters.  A buffer's last reference goes
-when the meter frees it, with one exception: the additive kernels keep their
-fused rows and query residual referenced while :func:`_project_rows` runs,
-so at large n their measured peak holds one n-by-d buffer more than the
-schedule: about 3*n*d for meaa and 4*n*d for eaa_original.
+and the softmax run in place in it, and no kernel writes its inputs or
+parameters.  A buffer's last reference goes when the meter frees it, with
+one exception: the additive kernels keep their fused rows and query
+residual referenced while :func:`_project_rows` runs, so at large n their
+measured peak holds one n-by-d buffer more than the schedule: about 3*n*d
+for meaa and 4*n*d for eaa_original.
 
 Gradients for the modified form are provided analytically in
 :func:`meaa_grad` for every parameter group plus both inputs.
@@ -296,20 +300,17 @@ def eaa_original(tokens, p, pool=True):
     meter_alloc("q", q.size)
     k = matmul(rows, p.wk)
     meter_alloc("k", k.size)
-    scores = attention_scalar(q, p.w_a)
+    # the softmax weights overwrite the scores
+    scores = softmax_rows(attention_scalar(q, p.w_a).reshape(t, n))
     meter_alloc("scores", scores.size)
-    weights = softmax_rows(scores.reshape(t, n))
-    meter_alloc("weights", weights.size)
-    meter_free("scores")
-    del scores
-    q_global = bmm(weights.reshape(t, 1, n), q)
+    q_global = bmm(scores.reshape(t, 1, n), q)
     fused = mul(k.reshape(t, n, d), q_global)
     meter_alloc("q_global", q_global.size)
     meter_alloc("fused", fused.size)
-    meter_free("weights")
+    meter_free("scores")
     meter_free("k")
     meter_free("q_global")
-    del weights, k, q_global
+    del scores, k, q_global
     out = _project_rows(fused, q, p, pool)
     return out if pool else out.reshape(tokens.shape)
 
@@ -349,15 +350,13 @@ def softmax_attention(tokens, wq, wk, wv, heads):
             meter_free("q")
             meter_free("k")
             del q, k
-        weights = softmax_rows(scores.reshape(-1, n)).reshape(t, n, n)
-        meter_alloc("weights", weights.size)
-        meter_free("scores")
-        del scores
-        ctx[:, :, lo:hi] = bmm(weights, v[:, :, lo:hi])
+        # the softmax weights overwrite the scores
+        scores = softmax_rows(scores.reshape(-1, n)).reshape(t, n, n)
+        ctx[:, :, lo:hi] = bmm(scores, v[:, :, lo:hi])
         if h == 0:  # charged once its first head is written
             meter_alloc("ctx", ctx.size)
-        meter_free("weights")
-        del weights
+        meter_free("scores")
+        del scores
     meter_free("v")
     return ctx.reshape(tokens.shape)
 

@@ -359,14 +359,15 @@ def gelu(x):
 def softmax_rows(x):
     """Row-wise softmax of a 2-d matrix, max-shifted for overflow safety.
 
-    The max-shifted copy is the one fresh matrix: the exponential and the
-    row normalization run in place in it, and ``x`` is never written.
+    Normalizes the rows of ``x`` in place and returns ``x``: the max shift,
+    the exponential and the row normalization all write into it, so the
+    caller passes a buffer it owns and no n-by-n copy is made.
     """
     check_tensor(x, rank=2, name="softmax input")
-    e = x - x.max(axis=1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
-    return e
+    x -= x.max(axis=1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=1, keepdims=True)
+    return x
 
 
 def sigmoid(x):

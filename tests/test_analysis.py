@@ -151,7 +151,7 @@ class TestMemoryEstimate:
         assert analysis.estimate_memory(ATTENTION_EAA, 20, 64).elements \
             == 3 * 20 * 64 + 20 + 64
         assert analysis.estimate_memory(ATTENTION_SELF, 20, 64).elements \
-            == max(3 * 20 * 64 + 400, 20 * 64 + 800)
+            == 3 * 20 * 64 + 20 * 20
 
     def test_modified_kind_beats_original_for_multiple_tokens(self):
         for d in (4, 16, 64):
@@ -165,8 +165,9 @@ class TestMemoryEstimate:
         d = 64
         def quadratic(n):
             return analysis.estimate_memory(ATTENTION_SELF, n, d).elements \
-                - n * d
-        # once the score matrices dominate, doubling n quadruples the rest
+                - 3 * n * d
+        # past q, k and v the rest is one score matrix: doubling n
+        # quadruples it
         assert quadratic(8192) == 4 * quadratic(4096)
 
     def test_bytes_price_float64(self):

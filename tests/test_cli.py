@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from cuenet import analysis, ctf, weights
+from cuenet import analysis, cli, ctf, model, weights
 from cuenet.config import desk_preset, serialize_config
 
 
@@ -264,6 +264,29 @@ class TestInfer:
         assert "limit" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_oversized_attention_exits_3_before_reading(
+            self, workdir, tmp_path, monkeypatch, capsys):
+        # 402 MB of f64 input, but the global block's 8 x (64*64 + 1)
+        # tokens need an 8.6 GB self-attention score matrix
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(serialize_config(desk_preset()).replace(
+            "frames=8", "frames=16").replace(
+            "height=32", "height=1024").replace(
+            "width=32", "width=1024").replace(
+            "global_attention=meaa", "global_attention=self_attention"))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("called before the configuration was priced")
+
+        monkeypatch.setattr(ctf, "read_tensor", fail)
+        monkeypatch.setattr(model, "forward", fail)
+        code = cli.main(["infer", "--video", str(workdir / "clip.ctf"),
+                         "--detections", str(workdir / "det.jsonl"),
+                         "--weights", str(workdir / "desk.cwc"),
+                         "--config", str(cfg)])
+        assert code == 3
+        assert "attention" in capsys.readouterr().err
+
     def test_undecodable_detections_exit_2(self, workdir, tmp_path):
         bad = tmp_path / "latin1.jsonl"
         bad.write_bytes(b'{"frame": 0, "boxes": []}\xff\n')
@@ -499,6 +522,21 @@ class TestFlops:
         assert proc.returncode == 3
         assert "ffn_ratio" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_oversized_probe_clip_exits_3_before_drawing(
+            self, tmp_path, monkeypatch, capsys):
+        # the f64 probe clip would take 8 x 2**24 x 32 x 3 x 8 bytes, 100 GB
+        cfg = tmp_path / "tall.cfg"
+        cfg.write_text(serialize_config(desk_preset()).replace(
+            "height=32", f"height={16 * 2 ** 20}"))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("probe drawn before its size was priced")
+
+        monkeypatch.setattr(np.random, "default_rng", fail)
+        code = cli.main(["flops", "--config", str(cfg), "--verify", "on"])
+        assert code == 3
+        assert "probe clip" in capsys.readouterr().err
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "flops.txt"
