@@ -28,12 +28,12 @@ from . import attention
 from .attention import (ATTENTION_EAA, ATTENTION_KINDS, ATTENTION_MEAA,
                         ATTENTION_SELF)
 from .config import DPE_KERNEL, PATCH, TEMPORAL_KERNEL, serialize_config
-from .errors import ConfigError, ParamError, VerificationError
+from .errors import ParamError, VerificationError
 from .fusion import fuse, classify, fuse_grad, classify_grad, FusionParams
 from .instrument import MacCounter, MemoryMeter, counting, metering
 from .model import bind_parameters, network_forward
 from .tensor import dtype_of
-from .weights import INIT_SIZE_LIMIT, init_weights
+from .weights import check_size, init_weights
 
 CONVENTION = ("one fused multiply-add = 1 unit; normalization, softmax, "
               "activations, and plain additions excluded")
@@ -64,10 +64,20 @@ def attention_macs(kind, n, d, pooled=True):
 
 @dataclass
 class FlopsReport:
-    """Per-stage analytic multiply-add counts for one configuration."""
+    """Per-stage analytic multiply-add counts for one configuration, and in
+    ``peaks`` the elements a run holds at once: the network input as
+    ``"input"``, then each attention stage's intermediates by stage name."""
 
     config_text: str
     stages: dict
+    peaks: dict
+
+    def check_peaks(self, input_name, precision):
+        """Refuse, through :func:`cuenet.weights.check_size`, any of
+        ``peaks`` over the limit, naming the input ``input_name``."""
+        check_size({input_name if name == "input" else
+                    f"{name} attention intermediates": elements
+                    for name, elements in self.peaks.items()}, precision)
 
     @property
     def total(self):
@@ -88,7 +98,9 @@ def count_flops(cfg):
     """Analytic per-stage work model of the full network.
 
     Preprocessing (crop and resize) is excluded: the model prices the
-    network at its configured input geometry.
+    network at its configured input geometry.  An attention stage over t
+    frames of n tokens peaks at t times :func:`estimate_memory`, plus t*n*d
+    for the context multi-head self-attention keeps beside one head.
     """
     d = cfg.hidden
     t2 = cfg.frames_out
@@ -97,6 +109,12 @@ def count_flops(cfg):
     tokens = cfg.token_count
     hidden = cfg.ffn_hidden
     stages = {}
+    peaks = {"input": cfg.frames * cfg.height * cfg.width * cfg.channels}
+
+    def attention_peak(kind, t, n):
+        context = kind == ATTENTION_SELF and cfg.heads > 1
+        return t * (estimate_memory(kind, n, d).elements + context * n * d)
+
     stages["backbone"] = (cfg.frames * cfg.grid_h * cfg.grid_w * d
                           * (TEMPORAL_KERNEL * PATCH * PATCH * cfg.channels))
     for i, kind in enumerate(cfg.local_attention):
@@ -104,13 +122,16 @@ def count_flops(cfg):
             * cfg.lt_kernel
         stages[f"local{i}.attn"] = t2 * attention_macs(kind, m, d,
                                                        pooled=False)
+        peaks[f"local{i}.attn"] = attention_peak(kind, t2, m)
         stages[f"local{i}.ffn"] = 2 * tokens * d * hidden
     stages["global.dpe"] = t2 * s * d * DPE_KERNEL ** 3
     stages["global.attn"] = attention_macs(cfg.global_attention, tokens, d,
                                            pooled=True)
+    peaks["global.attn"] = attention_peak(cfg.global_attention, 1, tokens)
     stages["global.ffn"] = 2 * d * hidden
     stages["fusion"] = 3 * d + d * cfg.num_classes
-    return FlopsReport(config_text=serialize_config(cfg), stages=stages)
+    return FlopsReport(config_text=serialize_config(cfg), stages=stages,
+                       peaks=peaks)
 
 
 @dataclass
@@ -130,24 +151,18 @@ def verify_flops(cfg):
     """Run the network on a seed-0 probe clip and compare counted work.
 
     Every stage must match the analytic model exactly; any unattributed
-    work is itself a mismatch.  A float64 probe clip over
-    :data:`cuenet.weights.INIT_SIZE_LIMIT` bytes raises ``ConfigError``
-    before anything is drawn.
+    work is itself a mismatch.  A probe clip or an attention stage over
+    the size limit raises ``ConfigError`` before anything is drawn.
     """
-    clip_bytes = cfg.frames * cfg.height * cfg.width * cfg.channels * 8
-    if clip_bytes > INIT_SIZE_LIMIT:
-        raise ConfigError(f"probe clip of this configuration takes "
-                          f"{clip_bytes} bytes, over the "
-                          f"{INIT_SIZE_LIMIT >> 30} GiB limit")
-    rng = np.random.default_rng(0)
-    video = rng.standard_normal(
-        (cfg.frames, cfg.height, cfg.width, cfg.channels))
-    video = video.astype(dtype_of(cfg.precision))
+    report = count_flops(cfg)
+    report.check_peaks("probe clip", cfg.precision)
+    video = np.random.default_rng(0).standard_normal(
+        (cfg.frames, cfg.height, cfg.width, cfg.channels),
+        dtype=dtype_of(cfg.precision))
     params = bind_parameters(init_weights(cfg), cfg)
     counter = MacCounter()
     with counting(counter):
         network_forward(video, params, cfg)
-    report = count_flops(cfg)
     measured = dict(counter.stages)
     mismatches = []
     for name, expected in report.stages.items():

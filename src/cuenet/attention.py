@@ -36,6 +36,14 @@ one head, in elements:
 A (t, n, d) stack with more than one head holds its context beside q, k, v
 and one head's scores: 4*t*n*d + t*n*n.
 
+A kernel called directly leaves its output charged to the meter: ``ctx``
+from :func:`softmax_attention` (and so :func:`mhsa`), ``rows`` or, pooled,
+``out`` from the additive kernels.  :func:`attend` releases that buffer
+before it returns, so a meter installed around a whole forward pass sees
+each attention call start and end with zero live elements, and its
+high-water mark is the largest attention stage peak that
+:func:`cuenet.analysis.count_flops` prices.
+
 Each buffer the schedule names is one allocation: bias and residual adds
 and the softmax run in place in it, and no kernel writes its inputs or
 parameters.  A buffer's last reference goes when the meter frees it, with
@@ -112,16 +120,22 @@ def attend(kind, tokens, p, heads, pool):
     ``p`` is the kind's parameter group: :class:`MhsaParams` for
     self-attention, :class:`AdditiveParams` otherwise.  ``heads`` applies to
     self-attention only.  Returns rows of the input's shape, or with
-    ``pool`` (on (n, d) tokens) their (1, d) column mean.
+    ``pool`` (on (n, d) tokens) their (1, d) column mean.  The buffer the
+    kernel leaves charged to the memory meter is released on return, so
+    nothing of a call stays live and calls can follow one another.
     """
     check_kind(kind)
     if kind == ATTENTION_SELF:
         out = mhsa(tokens, p, heads)
+        meter_free("ctx")
         return mean_rows(out) if pool else out
     if kind == ATTENTION_MEAA:
         q_normed = layer_norm(p.q, p.q_ln.gamma, p.q_ln.beta)
-        return meaa(q_normed, tokens, p, pool)
-    return eaa_original(tokens, p, pool)
+        out = meaa(q_normed, tokens, p, pool)
+    else:
+        out = eaa_original(tokens, p, pool)
+    meter_free("out" if pool else "rows")
+    return out
 
 
 def _frame_stack(x, name, pool=False):

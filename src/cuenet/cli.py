@@ -158,26 +158,13 @@ def cmd_crop(args):
 
 def cmd_infer(args):
     import numpy as np
-    from . import crop, fusion, model
-    from .analysis import estimate_memory
-    from .tensor import dtype_of
-    from .weights import INIT_SIZE_LIMIT, load_weights
+    from . import analysis, crop, fusion, model
+    from .weights import load_weights
     if args.threads is not None and args.threads < 1:
         raise ConfigError(f"thread count must be at least 1, got "
                           f"{args.threads}")
     cfg = _load_config(args)
-    itemsize = np.dtype(dtype_of(cfg.precision)).itemsize
-    priced = (
-        ("network input values",
-         cfg.frames * cfg.height * cfg.width * cfg.channels),
-        ("global attention's intermediates",
-         estimate_memory(cfg.global_attention, cfg.token_count,
-                         cfg.hidden).elements))
-    for what, elements in priced:
-        if elements * itemsize > INIT_SIZE_LIMIT:
-            raise ConfigError(f"{what} of this configuration take "
-                              f"{elements * itemsize} bytes, over the "
-                              f"{INIT_SIZE_LIMIT >> 30} GiB limit")
+    analysis.count_flops(cfg).check_peaks("network input", cfg.precision)
     video, sequence = _read_clip(args)
     container = load_weights(args.weights, precision=cfg.precision,
                              allow_widen=args.precision is not None)

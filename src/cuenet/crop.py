@@ -100,15 +100,24 @@ class CropDecision:
     max_people: int
 
 
+def _not_a_number(name):
+    """Decoder hook: NaN and the infinities are not JSON numbers."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
+# one decoder for every line: json.loads with a hook builds one per call
+_DECODER = json.JSONDecoder(parse_constant=_not_a_number)
+
+
 def parse_detections(source, height, width):
     """Parse a JSON-lines detection stream into a :class:`DetectionSequence`.
 
     Each line is an object ``{"frame": i, "boxes": [[x_min, y_min, x_max,
     y_max], ...]}``.  Frames may appear in any order but the indices must
     form exactly 0..T-1 with no duplicates.  Box corners must be JSON
-    numbers (not strings or booleans); they are clamped to the frame after
-    validating ordering.  A malformed line, or one with ``min > max``, is
-    rejected with its line number.
+    numbers (not strings, booleans, ``NaN`` or ``Infinity``); they are
+    clamped to the frame after validating ordering.  A malformed line, or
+    one with ``min > max``, is rejected with its line number.
     """
     try:
         text = source if isinstance(source, (str, bytes)) else source.read()
@@ -123,7 +132,7 @@ def parse_detections(source, height, width):
         if not line:
             continue
         try:
-            record = json.loads(line)
+            record = _DECODER.decode(line)
         except ValueError as exc:  # also an integer past the digit limit
             raise FormatError(f"invalid JSON: {getattr(exc, 'msg', exc)}",
                               line=lineno) from None

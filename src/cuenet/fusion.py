@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import check_tensor, matmul, mean_rows, mul, sigmoid
+from .tensor import (check_tensor, matmul, mean_rows, mul, sigmoid,
+                     softmax_rows)
 
 CLASS_LABELS = ("NonViolent", "Violent")
 
@@ -70,10 +71,9 @@ def classify_grad(z, p, upstream):
 
 
 def probabilities(logits):
-    """Softmax of a logit vector, overflow-safe."""
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    """Softmax of a logit vector, overflow-safe; the logits are not
+    written."""
+    return softmax_rows(logits.reshape(1, -1).copy()).reshape(-1)
 
 
 def predicted_label(logits):

@@ -22,6 +22,7 @@ requested explicitly; narrowing is always refused.
 """
 
 import functools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -149,13 +150,7 @@ def expected_entries(cfg):
 
 def param_count(cfg):
     """Total scalar parameter count for a configuration."""
-    total = 0
-    for spec in expected_entries(cfg):
-        size = 1
-        for extent in spec.shape:
-            size *= extent
-        total += size
-    return total
+    return sum(math.prod(spec.shape) for spec in expected_entries(cfg))
 
 
 @dataclass
@@ -175,9 +170,20 @@ class WeightContainer:
         return list(self.entries)
 
 
-# Largest parameter set, in bytes at the configured precision, that
-# init_weights draws; the paper preset in single precision needs 1.41 GB.
+# Largest parameter set, network input or attention stage, in bytes at the
+# configured precision; the paper preset's f32 parameters take 1.41 GB.
 INIT_SIZE_LIMIT = 2 << 30
+
+
+def check_size(sizes, precision):
+    """Raise ``ConfigError`` for the first of ``sizes`` (description to
+    element count) over :data:`INIT_SIZE_LIMIT` bytes at ``precision``."""
+    itemsize = np.dtype(dtype_of(precision)).itemsize
+    for what, elements in sizes.items():
+        if elements * itemsize > INIT_SIZE_LIMIT:
+            raise ConfigError(f"{what}: {elements * itemsize} bytes in "
+                              f"{precision} precision, over the "
+                              f"{INIT_SIZE_LIMIT >> 30} GiB limit")
 
 
 def init_weights(cfg):
@@ -191,11 +197,8 @@ def init_weights(cfg):
     double containers describe the same underlying draw.  A set larger than
     :data:`INIT_SIZE_LIMIT` bytes raises ``ConfigError`` before any draw.
     """
+    check_size({"parameters": param_count(cfg)}, cfg.precision)
     dtype = dtype_of(cfg.precision)
-    if param_count(cfg) * np.dtype(dtype).itemsize > INIT_SIZE_LIMIT:
-        raise ConfigError(f"parameters for this configuration exceed the "
-                          f"{INIT_SIZE_LIMIT >> 30} GiB limit in "
-                          f"{cfg.precision} precision")
     rng = np.random.default_rng(cfg.seed)
     entries = {}
     for spec in expected_entries(cfg):

@@ -7,7 +7,7 @@ from cuenet import analysis
 from cuenet.attention import ATTENTION_EAA, ATTENTION_KINDS, ATTENTION_MEAA, \
     ATTENTION_SELF
 from cuenet.config import desk_preset, paper_preset
-from cuenet.errors import ParamError, VerificationError
+from cuenet.errors import ConfigError, ParamError, VerificationError
 
 
 class TestAttentionMacs:
@@ -92,6 +92,33 @@ class TestCountFlops:
         report = analysis.count_flops(paper_preset())
         assert report.total > 10 ** 11
         assert all(v >= 0 for v in report.stages.values())
+
+    def test_desk_peaks(self):
+        # the input, then per attention stage t * estimate_memory, plus the
+        # 4-head self-attention's t*n*d context: 4 frames of 5 tokens, d=64
+        report = analysis.count_flops(desk_preset())
+        local = 4 * (analysis.estimate_memory(ATTENTION_SELF, 5, 64).elements
+                     + 5 * 64)
+        assert local == 4 * 4 * 5 * 64 + 4 * 5 * 5
+        assert report.peaks == {
+            "input": 8 * 32 * 32 * 3, "local0.attn": local,
+            "local1.attn": local,
+            "global.attn": analysis.estimate_memory(ATTENTION_MEAA, 20,
+                                                    64).elements}
+
+    def test_check_peaks_names_the_stage(self):
+        report = analysis.count_flops(desk_preset().with_attention(
+            ATTENTION_SELF, "global"))
+        report.check_peaks("probe clip", "double")
+        report.peaks["global.attn"] = (2 << 30) // 8 + 1
+        with pytest.raises(ConfigError, match="^global.attn attention "
+                           "intermediates: 2147483656 bytes in double "
+                           "precision, over the 2 GiB limit$"):
+            report.check_peaks("probe clip", "double")
+        report.check_peaks("probe clip", "single")
+        report.peaks["input"] = (2 << 30) // 4 + 1
+        with pytest.raises(ConfigError, match="^probe clip: 2147483652 "):
+            report.check_peaks("probe clip", "single")
 
     def test_format_layout(self):
         text = analysis.count_flops(desk_preset()).format()

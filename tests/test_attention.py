@@ -46,6 +46,21 @@ class TestAttend:
         assert got.shape == ((1, 8) if pool else (5, 8))
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("pool", (True, False))
+    @pytest.mark.parametrize("kind", attention.ATTENTION_KINDS)
+    def test_releases_what_the_kernel_leaves_live(self, kind, pool):
+        # the kernel alone leaves its output charged; two calls in a row
+        # under one meter must not meet a buffer that is still live
+        x, p = self.instance(kind)
+        meter = MemoryMeter()
+        with metering(meter):
+            for _ in range(2):
+                attention.attend(kind, x, p, heads=2, pool=pool)
+        assert meter.live == 0
+        multi_head = kind == attention.ATTENTION_SELF
+        assert meter.high_water == analysis.estimate_memory(
+            kind, 5, 8).elements + multi_head * 5 * 8
+
     def test_unknown_kind_raises_config_error(self):
         x, p = self.instance(attention.ATTENTION_EAA)
         with pytest.raises(ConfigError):

@@ -48,6 +48,23 @@ def workdir(tmp_path_factory):
     return root
 
 
+# Two configurations whose input fits under the 2 GiB limit but one of whose
+# attention stages does not.  16 frames of 1024x1024 in f64 are 402 MB, but
+# the global self-attention over 8 x 4097 tokens holds an 8.6 GB score
+# matrix.  2 frames of 4096x4096 are 805 MB, but each local self-attention
+# frame of the desk preset holds 65,537 tokens: a 34 GB score matrix.
+OVERSIZED_ATTENTION = (
+    ("global.attn", dict(frames=16, height=1024, width=1024,
+                         global_attention="self_attention")),
+    ("local0.attn", dict(frames=2, height=4096, width=4096)))
+
+
+def oversized_config(tmp_path, overrides):
+    path = tmp_path / "oversized.cfg"
+    path.write_text(serialize_config(desk_preset(**overrides)))
+    return path
+
+
 def non_finite_clip(workdir, tmp_path, value):
     """The shared clip with a pixel block inside the crop set to ``value``."""
     video = ctf.read_tensor(workdir / "clip.ctf").copy()
@@ -286,6 +303,38 @@ class TestInfer:
                          "--config", str(cfg)])
         assert code == 3
         assert "attention" in capsys.readouterr().err
+
+    def test_oversized_local_attention_exits_3_before_reading(
+            self, workdir, tmp_path, monkeypatch, capsys):
+        stage, overrides = OVERSIZED_ATTENTION[1]
+
+        def fail(*args, **kwargs):
+            raise AssertionError("called before the configuration was priced")
+
+        monkeypatch.setattr(ctf, "read_tensor", fail)
+        monkeypatch.setattr(model, "forward", fail)
+        code = cli.main(["infer", "--video", str(workdir / "clip.ctf"),
+                         "--detections", str(workdir / "det.jsonl"),
+                         "--weights", str(workdir / "desk.cwc"),
+                         "--config", str(oversized_config(tmp_path,
+                                                          overrides))])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{stage} attention intermediates" in err
+        assert "2 GiB limit" in err
+
+    @pytest.mark.parametrize("constant", ("NaN", "Infinity", "-Infinity"))
+    def test_non_finite_detection_constant_exits_2(self, workdir, tmp_path,
+                                                   capsys, constant):
+        bad = tmp_path / "constant.jsonl"
+        bad.write_text('{"frame": 0, "boxes": [[%s, 0, 5, 5]]}\n' % constant)
+        code = cli.main(["crop", "--video", str(workdir / "clip.ctf"),
+                         "--detections", str(bad),
+                         "--out", str(tmp_path / "cropped.ctf")])
+        assert code == 2
+        assert f"line 1: invalid JSON: {constant} is not a JSON number" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "cropped.ctf").exists()
 
     def test_undecodable_detections_exit_2(self, workdir, tmp_path):
         bad = tmp_path / "latin1.jsonl"
@@ -537,6 +586,32 @@ class TestFlops:
         code = cli.main(["flops", "--config", str(cfg), "--verify", "on"])
         assert code == 3
         assert "probe clip" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage, overrides", OVERSIZED_ATTENTION)
+    def test_oversized_attention_exits_3_before_drawing(
+            self, tmp_path, monkeypatch, capsys, stage, overrides):
+        def fail(*args, **kwargs):
+            raise AssertionError("probe drawn before its size was priced")
+
+        monkeypatch.setattr(np.random, "default_rng", fail)
+        code = cli.main(["flops", "--config",
+                         str(oversized_config(tmp_path, overrides)),
+                         "--verify", "on"])
+        assert code == 3
+        assert f"{stage} attention intermediates" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage, overrides", OVERSIZED_ATTENTION)
+    def test_oversized_attention_still_reported_without_verify(
+            self, tmp_path, capsys, stage, overrides):
+        code = cli.main(["flops", "--config",
+                         str(oversized_config(tmp_path, overrides)),
+                         "--verify", "off"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("# flop report v1")
+        assert f"\n{stage} " in out
+        assert out.endswith("# verification skipped\n")
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "flops.txt"

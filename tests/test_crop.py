@@ -117,6 +117,18 @@ class TestParsing:
         with pytest.raises(FormatError, match="line 2"):
             crop.parse_detections(text, height=100, width=100)
 
+    @pytest.mark.parametrize("constant", ("NaN", "Infinity", "-Infinity"))
+    @pytest.mark.parametrize("template", (
+        '{"frame": 1, "boxes": [[%s, 0, 5, 5]]}',
+        '{"frame": 1, "boxes": [[0, 0, 5, %s]]}',
+        '{"frame": %s, "boxes": []}'))
+    def test_non_finite_constant_rejected(self, constant, template):
+        # json.loads takes NaN and the infinities, which JSON does not have:
+        # [[-Infinity, 0, 5, 5]] would clamp to the box (0, 0, 5, 5)
+        text = lines({"frame": 0, "boxes": []}) + template % constant
+        with pytest.raises(FormatError, match=f"line 2: .*{constant} is not"):
+            crop.parse_detections(text, height=100, width=100)
+
     def test_integer_past_digit_limit_reports_line(self):
         text = '{"frame": 0, "boxes": [[0, 0, 1%s, 1]]}' % ("0" * 5000)
         with pytest.raises(FormatError, match="line 1"):

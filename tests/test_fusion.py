@@ -309,6 +309,17 @@ class TestDecision:
         assert np.all(np.isfinite(probs))
         assert abs(probs[0] - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    def test_probabilities_match_direct_softmax_and_keep_logits(self, dtype):
+        rng = np.random.default_rng(310)
+        for classes in range(2, 18):
+            logits = (rng.standard_normal(classes) * 30).astype(dtype)
+            kept = logits.copy()
+            e = np.exp(logits - logits.max())
+            assert fusion.probabilities(logits).tobytes() \
+                == (e / e.sum()).tobytes()
+            assert logits.tobytes() == kept.tobytes()
+
     def test_equal_logits_split_evenly(self):
         probs = fusion.probabilities(np.array([3.0, 3.0]))
         assert_close(probs, np.array([0.5, 0.5]), rel=1e-15)

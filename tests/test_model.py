@@ -18,8 +18,8 @@ from cuenet.config import desk_preset
 from cuenet.crop import parse_detections
 from cuenet.errors import BoundsError, ConfigError, ShapeError
 from cuenet.global_block import global_uniblock_forward
-from cuenet.instrument import (UNATTRIBUTED, MacCounter, counting,
-                               record_shape, tracing)
+from cuenet.instrument import (UNATTRIBUTED, MacCounter, MemoryMeter,
+                               counting, metering, record_shape, tracing)
 from cuenet.tensor import conv3d, dtype_of
 
 from util import assert_close, resize_oracle, resize_reference
@@ -576,3 +576,20 @@ class TestRandomConfigurations:
         shape = video.shape
         assert trace == {"input": shape, "cropped": shape,
                          **model.expected_trace(cfg)}
+
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=random_configs(), heads=st.sampled_from((1, 4)))
+    def test_metered_forward_peaks_at_the_priced_stage(self, cfg, heads):
+        # each attention call starts and ends with nothing live, so the
+        # pass peaks at its largest priced attention stage
+        cfg = dataclasses.replace(cfg, heads=heads)
+        container = weights.init_weights(cfg)
+        video = random_clip(np.random.default_rng(cfg.frames), cfg)
+        meter = MemoryMeter()
+        with metering(meter):
+            model.forward(video.astype(dtype_of(cfg.precision)), None,
+                          container, cfg)
+        peaks = analysis.count_flops(cfg).peaks
+        assert meter.live == 0
+        assert meter.high_water == max(elements for name, elements
+                                       in peaks.items() if name != "input")
