@@ -10,7 +10,10 @@ comparison.
 
 The memory estimator prices the attention mechanisms' intermediate buffers
 under the step schedule documented in :mod:`cuenet.attention` and is checked
-against the instrumented high-water mark the same way.
+against the instrumented high-water mark the same way.  Every metered call
+frees what it charged before it returns, so one network pass peaks at the
+largest stage entry of :attr:`FlopsReport.peaks`.  Sizes, the bench's
+included, are refused by the one limit in :func:`cuenet.weights.check_size`.
 
 Timing runs each mechanism's kernel, single-head for softmax attention, on
 one token matrix so the asymptotic shapes are visible: the additive forms
@@ -26,7 +29,7 @@ import numpy as np
 
 from . import attention
 from .attention import (ATTENTION_EAA, ATTENTION_KINDS, ATTENTION_MEAA,
-                        ATTENTION_SELF)
+                        ATTENTION_SELF, check_kind)
 from .config import DPE_KERNEL, PATCH, TEMPORAL_KERNEL, serialize_config
 from .errors import ParamError, VerificationError
 from .fusion import fuse, classify, fuse_grad, classify_grad, FusionParams
@@ -50,15 +53,13 @@ def attention_macs(kind, n, d, pooled=True):
     The self-attention count is head-count independent: splitting the score
     and context products across heads leaves their total unchanged.
     """
+    check_kind(kind)
     if kind == ATTENTION_SELF:
         base = 4 * n * d * d + n * d + 2 * n * n * d
     elif kind == ATTENTION_MEAA:
         base = 3 * n * d * d + n * d + d * d + 2 * d + 1
-    elif kind == ATTENTION_EAA:
-        base = 4 * n * d * d + 3 * n * d + n
     else:
-        raise ParamError(f"unknown attention kind {kind!r}; expected one of "
-                         f"{ATTENTION_KINDS}")
+        base = 4 * n * d * d + 3 * n * d + n
     return base + (d if pooled else 0)
 
 
@@ -66,7 +67,8 @@ def attention_macs(kind, n, d, pooled=True):
 class FlopsReport:
     """Per-stage analytic multiply-add counts for one configuration, and in
     ``peaks`` the elements a run holds at once: the network input as
-    ``"input"``, then each attention stage's intermediates by stage name."""
+    ``"input"``, then each attention and FFN stage's intermediates by stage
+    name."""
 
     config_text: str
     stages: dict
@@ -76,7 +78,7 @@ class FlopsReport:
         """Refuse, through :func:`cuenet.weights.check_size`, any of
         ``peaks`` over the limit, naming the input ``input_name``."""
         check_size({input_name if name == "input" else
-                    f"{name} attention intermediates": elements
+                    f"{name} intermediates": elements
                     for name, elements in self.peaks.items()}, precision)
 
     @property
@@ -100,7 +102,8 @@ def count_flops(cfg):
     Preprocessing (crop and resize) is excluded: the model prices the
     network at its configured input geometry.  An attention stage over t
     frames of n tokens peaks at t times :func:`estimate_memory`, plus t*n*d
-    for the context multi-head self-attention keeps beside one head.
+    for the context multi-head self-attention keeps beside one head; an FFN
+    stage at its GELU output, one ``ffn_hidden`` row per token.
     """
     d = cfg.hidden
     t2 = cfg.frames_out
@@ -124,11 +127,13 @@ def count_flops(cfg):
                                                        pooled=False)
         peaks[f"local{i}.attn"] = attention_peak(kind, t2, m)
         stages[f"local{i}.ffn"] = 2 * tokens * d * hidden
+        peaks[f"local{i}.ffn"] = tokens * hidden
     stages["global.dpe"] = t2 * s * d * DPE_KERNEL ** 3
     stages["global.attn"] = attention_macs(cfg.global_attention, tokens, d,
                                            pooled=True)
     peaks["global.attn"] = attention_peak(cfg.global_attention, 1, tokens)
     stages["global.ffn"] = 2 * d * hidden
+    peaks["global.ffn"] = hidden
     stages["fusion"] = 3 * d + d * cfg.num_classes
     return FlopsReport(config_text=serialize_config(cfg), stages=stages,
                        peaks=peaks)
@@ -151,8 +156,8 @@ def verify_flops(cfg):
     """Run the network on a seed-0 probe clip and compare counted work.
 
     Every stage must match the analytic model exactly; any unattributed
-    work is itself a mismatch.  A probe clip or an attention stage over
-    the size limit raises ``ConfigError`` before anything is drawn.
+    work is itself a mismatch.  A probe clip or an attention or FFN stage
+    over the size limit raises ``ConfigError`` before anything is drawn.
     """
     report = count_flops(cfg)
     report.check_peaks("probe clip", cfg.precision)
@@ -200,11 +205,6 @@ class MemEstimate:
     d: int
     elements: int
 
-    @property
-    def bytes(self):
-        """The peak in float64, the precision of the bench instances."""
-        return self.elements * 8
-
 
 def estimate_memory(kind, n, d):
     """Closed-form peak of the mechanism's buffer schedule, in elements.
@@ -217,15 +217,13 @@ def estimate_memory(kind, n, d):
     if n < 1 or d < 1:
         raise ParamError(f"token count and width must be positive, got "
                          f"n={n}, d={d}")
+    check_kind(kind)
     if kind == ATTENTION_MEAA:
         elements = 2 * n * d + 2 * d
     elif kind == ATTENTION_EAA:
         elements = 3 * n * d + n + d
-    elif kind == ATTENTION_SELF:
-        elements = 3 * n * d + n * n
     else:
-        raise ParamError(f"unknown attention kind {kind!r}; expected one of "
-                         f"{ATTENTION_KINDS}")
+        elements = 3 * n * d + n * n
     return MemEstimate(kind=kind, n=n, d=d, elements=elements)
 
 
@@ -284,19 +282,14 @@ class BenchResult:
     checksum: str
 
 
-# Largest float64 footprint a bench size may need: the intermediate peak
-# (estimate_memory) plus the inputs and parameters of its instance.
-BENCH_MEMORY_LIMIT = 1 << 30
-
-
 def bench_attention(kind, sizes, d=64, reps=7, seed=0):
     """Time one mechanism across token counts, after two warmup runs.
 
     At least five repetitions are required so the median is meaningful.
-    A size whose intermediates, inputs and parameters together would
-    exceed :data:`BENCH_MEMORY_LIMIT` bytes is refused before any input is
-    drawn.  The checksum digests the output bytes; identical seeds must
-    reproduce it exactly.
+    A size whose float64 intermediates, inputs and parameters together fail
+    :func:`cuenet.weights.check_size` raises ``ConfigError`` before any
+    input is drawn.  The checksum digests the output bytes; identical seeds
+    must reproduce it exactly.
     """
     if reps < 5:
         raise ParamError(f"need at least 5 repetitions for a stable median, "
@@ -306,11 +299,8 @@ def bench_attention(kind, sizes, d=64, reps=7, seed=0):
     if seed < 0:
         raise ParamError(f"seed must be non-negative, got {seed}")
     for n in sizes:
-        need = 8 * (estimate_memory(kind, n, d).elements
-                    + _instance_elements(kind, n, d))
-        if need > BENCH_MEMORY_LIMIT:
-            raise ParamError(f"{kind} at n={n} needs {need} bytes, over the "
-                             f"bench limit of {BENCH_MEMORY_LIMIT}")
+        check_size({f"{kind} at n={n}": estimate_memory(kind, n, d).elements
+                    + _instance_elements(kind, n, d)}, "double")
     results = []
     for n in sizes:
         run = _attention_instance(kind, n, d, seed)

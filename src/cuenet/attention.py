@@ -34,23 +34,17 @@ one head, in elements:
 * softmax_attention:  3*n*d + n*n
 
 A (t, n, d) stack with more than one head holds its context beside q, k, v
-and one head's scores: 4*t*n*d + t*n*n.
-
-A kernel called directly leaves its output charged to the meter: ``ctx``
-from :func:`softmax_attention` (and so :func:`mhsa`), ``rows`` or, pooled,
-``out`` from the additive kernels.  :func:`attend` releases that buffer
-before it returns, so a meter installed around a whole forward pass sees
-each attention call start and end with zero live elements, and its
-high-water mark is the largest attention stage peak that
-:func:`cuenet.analysis.count_flops` prices.
+and one head's scores: 4*t*n*d + t*n*n.  Every kernel frees what it charged
+before it returns, its output included, so a meter around any call ends
+with zero live elements.
 
 Each buffer the schedule names is one allocation: bias and residual adds
 and the softmax run in place in it, and no kernel writes its inputs or
-parameters.  A buffer's last reference goes when the meter frees it, with
-one exception: the additive kernels keep their fused rows and query
-residual referenced while :func:`_project_rows` runs, so at large n their
-measured peak holds one n-by-d buffer more than the schedule: about 3*n*d
-for meaa and 4*n*d for eaa_original.
+parameters.  Apart from the returned output, a buffer's last reference goes
+when the meter frees it, with one exception: the additive kernels keep
+their fused rows and query residual referenced while :func:`_project_rows`
+runs, so at large n their measured peak holds one n-by-d buffer more than
+the schedule: about 3*n*d for meaa and 4*n*d for eaa_original.
 
 Gradients for the modified form are provided analytically in
 :func:`meaa_grad` for every parameter group plus both inputs.
@@ -120,22 +114,19 @@ def attend(kind, tokens, p, heads, pool):
     ``p`` is the kind's parameter group: :class:`MhsaParams` for
     self-attention, :class:`AdditiveParams` otherwise.  ``heads`` applies to
     self-attention only.  Returns rows of the input's shape, or with
-    ``pool`` (on (n, d) tokens) their (1, d) column mean.  The buffer the
-    kernel leaves charged to the memory meter is released on return, so
-    nothing of a call stays live and calls can follow one another.
+    ``pool`` (on (n, d) tokens) their (1, d) column mean, taken here after
+    an unpooled kernel call for every kind.
     """
     check_kind(kind)
+    _frame_stack(tokens, "attention tokens", pool)
     if kind == ATTENTION_SELF:
-        out = mhsa(tokens, p, heads)
-        meter_free("ctx")
-        return mean_rows(out) if pool else out
-    if kind == ATTENTION_MEAA:
+        rows = mhsa(tokens, p, heads)
+    elif kind == ATTENTION_MEAA:
         q_normed = layer_norm(p.q, p.q_ln.gamma, p.q_ln.beta)
-        out = meaa(q_normed, tokens, p, pool)
+        rows = meaa(q_normed, tokens, p, pool=False)
     else:
-        out = eaa_original(tokens, p, pool)
-    meter_free("out" if pool else "rows")
-    return out
+        rows = eaa_original(tokens, p, pool=False)
+    return mean_rows(rows) if pool else rows
 
 
 def _frame_stack(x, name, pool=False):
@@ -179,7 +170,8 @@ def _project_rows(fused, residual, p, pool):
     ``fused`` is a (t, n, d) stack.  ``residual``, the query (live in the
     memory meter as ``q``), broadcasts against it, is added after the first
     projection and is released with ``fused``.  Returns the (t, n, d) rows,
-    or with ``pool`` the (1, d) mean of a one-frame stack's rows.
+    or with ``pool`` the (1, d) mean of a one-frame stack's rows; the meter
+    holds nothing of the call on return.
     """
     d = fused.shape[-1]
     hidden = matmul(fused.reshape(-1, d), p.w1).reshape(fused.shape)
@@ -193,12 +185,8 @@ def _project_rows(fused, residual, p, pool):
     meter_alloc("rows", rows.size)
     meter_free("hidden")
     del hidden
-    if not pool:
-        return rows.reshape(fused.shape)
-    out = mean_rows(rows)
-    meter_alloc("out", d)
     meter_free("rows")
-    return out
+    return mean_rows(rows) if pool else rows.reshape(fused.shape)
 
 
 def meaa(q_normed, tokens, p, pool=True):
@@ -335,7 +323,7 @@ def eaa_original(tokens, p, pool=True):
 
 def softmax_attention(tokens, wq, wk, wv, heads):
     """Multi-head softmax attention without output projection; the context
-    comes back in the input's shape, the one buffer it leaves live.
+    comes back in the input's shape.
 
     Each head's scores and context are one batched product over frames.
     Heads stay a loop, so the softmax works on one head's (t*n, n) scores
@@ -372,6 +360,7 @@ def softmax_attention(tokens, wq, wk, wv, heads):
         meter_free("scores")
         del scores
     meter_free("v")
+    meter_free("ctx")
     return ctx.reshape(tokens.shape)
 
 

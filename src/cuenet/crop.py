@@ -40,14 +40,6 @@ class BBox:
         if self.x_min < 0 or self.y_min < 0:
             raise ValueError(f"negative box corner: {self}")
 
-    @property
-    def width(self):
-        return self.x_max - self.x_min
-
-    @property
-    def height(self):
-        return self.y_max - self.y_min
-
     def contains(self, other):
         """Whether ``other`` lies entirely inside this box."""
         return (self.x_min <= other.x_min and self.y_min <= other.y_min
@@ -109,8 +101,8 @@ def _not_a_number(name):
 _DECODER = json.JSONDecoder(parse_constant=_not_a_number)
 
 
-def parse_detections(source, height, width):
-    """Parse a JSON-lines detection stream into a :class:`DetectionSequence`.
+def parse_detections(text, height, width):
+    """Parse JSON-lines detection text into a :class:`DetectionSequence`.
 
     Each line is an object ``{"frame": i, "boxes": [[x_min, y_min, x_max,
     y_max], ...]}``.  Frames may appear in any order but the indices must
@@ -119,13 +111,6 @@ def parse_detections(source, height, width):
     clamped to the frame after validating ordering.  A malformed line, or
     one with ``min > max``, is rejected with its line number.
     """
-    try:
-        text = source if isinstance(source, (str, bytes)) else source.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"detection stream is not UTF-8 text "
-                          f"({exc.reason})") from None
     by_index = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -8,6 +8,7 @@ from cuenet.attention import ATTENTION_EAA, ATTENTION_KINDS, ATTENTION_MEAA, \
     ATTENTION_SELF
 from cuenet.config import desk_preset, paper_preset
 from cuenet.errors import ConfigError, ParamError, VerificationError
+from cuenet.weights import INIT_SIZE_LIMIT
 
 
 class TestAttentionMacs:
@@ -46,7 +47,7 @@ class TestAttentionMacs:
         assert quad_part(20) == 4 * quad_part(10)
 
     def test_unknown_kind(self):
-        with pytest.raises(ParamError):
+        with pytest.raises(ConfigError, match="unknown attention kind"):
             analysis.attention_macs("windowed", 2, 2)
 
 
@@ -95,24 +96,27 @@ class TestCountFlops:
 
     def test_desk_peaks(self):
         # the input, then per attention stage t * estimate_memory, plus the
-        # 4-head self-attention's t*n*d context: 4 frames of 5 tokens, d=64
+        # 4-head self-attention's t*n*d context: 4 frames of 5 tokens, d=64;
+        # per FFN stage its GELU output, 256 wide for each token row
         report = analysis.count_flops(desk_preset())
         local = 4 * (analysis.estimate_memory(ATTENTION_SELF, 5, 64).elements
                      + 5 * 64)
         assert local == 4 * 4 * 5 * 64 + 4 * 5 * 5
-        assert report.peaks == {
-            "input": 8 * 32 * 32 * 3, "local0.attn": local,
-            "local1.attn": local,
-            "global.attn": analysis.estimate_memory(ATTENTION_MEAA, 20,
-                                                    64).elements}
+        assert list(report.peaks.items()) == [
+            ("input", 8 * 32 * 32 * 3), ("local0.attn", local),
+            ("local0.ffn", 4 * 5 * 256), ("local1.attn", local),
+            ("local1.ffn", 4 * 5 * 256),
+            ("global.attn", analysis.estimate_memory(ATTENTION_MEAA, 20,
+                                                     64).elements),
+            ("global.ffn", 256)]
 
     def test_check_peaks_names_the_stage(self):
         report = analysis.count_flops(desk_preset().with_attention(
             ATTENTION_SELF, "global"))
         report.check_peaks("probe clip", "double")
         report.peaks["global.attn"] = (2 << 30) // 8 + 1
-        with pytest.raises(ConfigError, match="^global.attn attention "
-                           "intermediates: 2147483656 bytes in double "
+        with pytest.raises(ConfigError, match="^global.attn intermediates: "
+                           "2147483656 bytes in double "
                            "precision, over the 2 GiB limit$"):
             report.check_peaks("probe clip", "double")
         report.check_peaks("probe clip", "single")
@@ -197,10 +201,6 @@ class TestMemoryEstimate:
         # quadruples it
         assert quadratic(8192) == 4 * quadratic(4096)
 
-    def test_bytes_price_float64(self):
-        est = analysis.estimate_memory(ATTENTION_MEAA, 10, 8)
-        assert est.bytes == est.elements * 8
-
     @pytest.mark.parametrize("kind", ATTENTION_KINDS)
     def test_instrumented_peaks_match_estimates(self, kind):
         for n, d in ((1, 1), (1, 5), (2, 3), (7, 16), (20, 64), (64, 32)):
@@ -211,7 +211,7 @@ class TestMemoryEstimate:
     def test_invalid_arguments(self):
         with pytest.raises(ParamError):
             analysis.estimate_memory(ATTENTION_MEAA, 0, 4)
-        with pytest.raises(ParamError):
+        with pytest.raises(ConfigError, match="unknown attention kind"):
             analysis.estimate_memory("windowed", 4, 4)
 
 
@@ -247,13 +247,15 @@ class TestBench:
         def no_inputs(*args):
             raise AssertionError("inputs drawn for a refused size")
         monkeypatch.setattr(analysis, "_attention_instance", no_inputs)
-        # 537.9 M elements: 4.3 GB of f64 intermediates
-        with pytest.raises(ParamError, match="limit"):
+        # 272.7 M elements: 2.2 GB of f64 intermediates and instance
+        with pytest.raises(ConfigError, match="^self_attention at n=16384: "
+                           "2181136384 bytes in double precision, over the "
+                           "2 GiB limit$"):
             analysis.bench_attention(ATTENTION_SELF, (8, 16384), d=64)
-        assert analysis.estimate_memory(ATTENTION_SELF, 4096, 64).bytes \
-            <= analysis.BENCH_MEMORY_LIMIT
-        assert analysis.estimate_memory(ATTENTION_MEAA, 32768, 64).bytes \
-            <= analysis.BENCH_MEMORY_LIMIT
+        assert analysis.estimate_memory(ATTENTION_SELF, 8192, 64).elements \
+            * 8 <= INIT_SIZE_LIMIT
+        assert analysis.estimate_memory(ATTENTION_MEAA, 32768, 64).elements \
+            * 8 <= INIT_SIZE_LIMIT
 
     def test_instance_over_memory_limit_refused_before_inputs(self,
                                                               monkeypatch):
@@ -261,13 +263,13 @@ class TestBench:
             raise AssertionError("inputs drawn for a refused size")
         monkeypatch.setattr(analysis, "_attention_instance", no_inputs)
         # 65,536 intermediate elements, but x and four 16384x16384 maps
-        # are 8.6 GB of f64
-        assert analysis.estimate_memory(ATTENTION_MEAA, 1, 16384).bytes \
-            <= analysis.BENCH_MEMORY_LIMIT
-        with pytest.raises(ParamError, match="limit"):
+        # are 8.6 GB of f64, and three such maps 6.4 GB
+        assert analysis.estimate_memory(ATTENTION_MEAA, 1, 16384).elements \
+            * 8 <= INIT_SIZE_LIMIT
+        with pytest.raises(ConfigError, match="limit"):
             analysis.bench_attention(ATTENTION_MEAA, (1,), d=16384)
-        with pytest.raises(ParamError, match="limit"):
-            analysis.bench_attention(ATTENTION_SELF, (1,), d=8192)
+        with pytest.raises(ConfigError, match="limit"):
+            analysis.bench_attention(ATTENTION_SELF, (1,), d=16384)
 
     def test_csv_round_trip(self):
         results = analysis.bench_attention(ATTENTION_EAA, (4,), d=8, reps=5)

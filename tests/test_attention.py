@@ -49,8 +49,8 @@ class TestAttend:
     @pytest.mark.parametrize("pool", (True, False))
     @pytest.mark.parametrize("kind", attention.ATTENTION_KINDS)
     def test_releases_what_the_kernel_leaves_live(self, kind, pool):
-        # the kernel alone leaves its output charged; two calls in a row
-        # under one meter must not meet a buffer that is still live
+        # two calls in a row under one meter must not meet a buffer that is
+        # still live
         x, p = self.instance(kind)
         meter = MemoryMeter()
         with metering(meter):
@@ -414,9 +414,11 @@ class TestFrameStacks:
             self.mix(kind, x[None], p)
 
     def test_pooled_stack_rejected(self):
-        for kind in (attention.ATTENTION_MEAA, attention.ATTENTION_EAA):
+        for kind in self.KINDS:
             x, p = self.instance(kind)
-            with pytest.raises(ShapeError, match="pooled"):
+            with pytest.raises(ShapeError, match="^pooled attention tokens "
+                               r"must be \(n, d\), got shape "
+                               r"\(3, 17, 8\)$"):
                 self.mix(kind, x, p, pool=True)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -488,15 +490,36 @@ class TestBufferSchedules:
                 rng.standard_normal(shape), wq, wk, wv, heads))
         assert meter.high_water == peak
 
-    @pytest.mark.parametrize("shape, heads", (((5, 8), 1), ((3, 5, 8), 4)))
-    def test_softmax_kernel_leaves_only_its_output_live(self, shape, heads):
+    @pytest.mark.parametrize("pool, shape", (
+        (True, (5, 8)), (False, (5, 8)), (False, (3, 5, 8))),
+        ids=("pooled", "rows", "stack"))
+    @pytest.mark.parametrize("kind", attention.ATTENTION_KINDS)
+    def test_every_call_ends_with_nothing_live(self, kind, pool, shape):
+        # a direct kernel call and attend peak at t frames of the schedule,
+        # plus the 2-head context, and free all of it before they return
         rng = np.random.default_rng(143)
-        d = shape[-1]
-        wq, wk, wv = (rng.standard_normal((d, d)) for _ in range(3))
-        meter = self.meter_for(
-            lambda: attention.softmax_attention(
-                rng.standard_normal(shape), wq, wk, wv, heads))
-        assert meter.live == np.prod(shape)
+        x = rng.standard_normal(shape)
+        *frames, n, d = shape
+        if kind == attention.ATTENTION_SELF:
+            p = random_mhsa_params(rng, d)
+            direct = lambda: attention.softmax_attention(x, p.wq, p.wk,
+                                                         p.wv, 2)
+        elif kind == attention.ATTENTION_MEAA:
+            p = random_additive_params(rng, d, with_q=True)
+            p.q_ln = LnParams(gamma=np.ones(d), beta=np.zeros(d))
+            q_normed = layer_norm(p.q, p.q_ln.gamma, p.q_ln.beta)
+            direct = lambda: attention.meaa(q_normed, x, p, pool)
+        else:
+            p = random_additive_params(rng, d, with_q=False)
+            direct = lambda: attention.eaa_original(x, p, pool)
+        context = (kind == attention.ATTENTION_SELF) * n * d
+        peak = int(np.prod(frames)) * (
+            analysis.estimate_memory(kind, n, d).elements + context)
+        for run in (direct, lambda: attention.attend(kind, x, p, heads=2,
+                                                     pool=pool)):
+            meter = self.meter_for(run)
+            assert meter.live == 0
+            assert meter.high_water == peak
 
     @pytest.mark.parametrize("kind, n, bound", (
         (attention.ATTENTION_SELF, 2048, 1.05),
@@ -525,7 +548,8 @@ class TestBufferSchedules:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= bound * analysis.estimate_memory(kind, n, d).bytes
+        assert peak <= bound * analysis.estimate_memory(kind, n,
+                                                         d).elements * 8
 
     def test_meter_rejects_double_alloc_and_unknown_free(self):
         meter = MemoryMeter()

@@ -8,7 +8,8 @@ from cuenet.attention import (ATTENTION_EAA, ATTENTION_KINDS, ATTENTION_MEAA,
                               ATTENTION_SELF)
 from cuenet.blocks import FfnParams, LnParams, LocalBlockParams, LtParams
 from cuenet.errors import ConfigError, ShapeError
-from cuenet.instrument import UNATTRIBUTED, MacCounter, counting
+from cuenet.instrument import (UNATTRIBUTED, MacCounter, MemoryMeter,
+                               counting, metering)
 from cuenet.tensor import gelu, layer_norm
 
 from util import (assert_close, dwconv3d_oracle, eaa_oracle,
@@ -248,6 +249,15 @@ class TestFfn:
                       w2=np.zeros((hidden, d)), b2=b2)
         out = blocks.ffn(x, random_ln(rng, d), p)
         assert np.array_equal(out, x + np.broadcast_to(b2, x.shape))
+
+    def test_meter_holds_the_gelu_output_until_return(self):
+        rng = np.random.default_rng(43)
+        x, _ = random_tokens(rng, d=4)
+        meter = MemoryMeter()
+        with metering(meter):
+            blocks.ffn(x, random_ln(rng, 4), random_ffn(rng, 4, 8))
+        assert meter.live == 0
+        assert meter.high_water == x.size // 4 * 8
 
 
 class TestLocalBlock:

@@ -302,7 +302,7 @@ class TestInfer:
                          "--weights", str(workdir / "desk.cwc"),
                          "--config", str(cfg)])
         assert code == 3
-        assert "attention" in capsys.readouterr().err
+        assert "global.attn intermediates" in capsys.readouterr().err
 
     def test_oversized_local_attention_exits_3_before_reading(
             self, workdir, tmp_path, monkeypatch, capsys):
@@ -320,8 +320,30 @@ class TestInfer:
                                                           overrides))])
         assert code == 3
         err = capsys.readouterr().err
-        assert f"{stage} attention intermediates" in err
+        assert f"{stage} intermediates" in err
         assert "2 GiB limit" in err
+
+    def test_oversized_ffn_exits_3_before_reading(
+            self, workdir, tmp_path, monkeypatch, capsys):
+        # 805 MB of input and 1.07 GB per attention stage, but each local
+        # FFN's GELU output is 4 frames x 16385 tokens x 4096 wide
+        def fail(*args, **kwargs):
+            raise AssertionError("called before the configuration was priced")
+
+        cfg = tmp_path / "ffn.cfg"
+        cfg.write_text(serialize_config(desk_preset(
+            frames=8, height=2048, width=2048, hidden=1024,
+            heads=16).with_attention("meaa", "everywhere")))
+        monkeypatch.setattr(ctf, "read_tensor", fail)
+        monkeypatch.setattr(model, "forward", fail)
+        code = cli.main(["infer", "--video", str(workdir / "clip.ctf"),
+                         "--detections", str(workdir / "det.jsonl"),
+                         "--weights", str(workdir / "desk.cwc"),
+                         "--config", str(cfg)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: local0.ffn intermediates: 2147614720 bytes in double "
+            "precision, over the 2 GiB limit\n")
 
     @pytest.mark.parametrize("constant", ("NaN", "Infinity", "-Infinity"))
     def test_non_finite_detection_constant_exits_2(self, workdir, tmp_path,
@@ -598,7 +620,7 @@ class TestFlops:
                          str(oversized_config(tmp_path, overrides)),
                          "--verify", "on"])
         assert code == 3
-        assert f"{stage} attention intermediates" \
+        assert f"{stage} intermediates" \
             in capsys.readouterr().err
 
     @pytest.mark.parametrize("stage, overrides", OVERSIZED_ATTENTION)

@@ -1,6 +1,5 @@
 """Detection parsing, crop policy, and pixel extraction."""
 
-import io
 import json
 import math
 
@@ -90,11 +89,6 @@ class TestParsing:
         with pytest.raises(FormatError, match="empty"):
             crop.parse_detections("", height=10, width=10)
 
-    def test_bytes_input_accepted(self):
-        seq = crop.parse_detections(
-            lines({"frame": 0, "boxes": []}).encode(), height=10, width=10)
-        assert seq.frame_count == 1
-
     def test_corner_too_large_for_float_reports_line(self):
         huge = 10 ** 400
         text = lines({"frame": 0, "boxes": []},
@@ -133,13 +127,6 @@ class TestParsing:
         text = '{"frame": 0, "boxes": [[0, 0, 1%s, 1]]}' % ("0" * 5000)
         with pytest.raises(FormatError, match="line 1"):
             crop.parse_detections(text, height=100, width=100)
-
-    def test_undecodable_input_rejected(self):
-        with pytest.raises(FormatError, match="UTF-8"):
-            crop.parse_detections(b"\xff", height=4, width=4)
-        with pytest.raises(FormatError, match="UTF-8"):
-            crop.parse_detections(io.BytesIO(b'{"frame": 0}\xff\n'),
-                                  height=4, width=4)
 
 
 class TestPolicy:
