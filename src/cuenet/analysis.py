@@ -285,9 +285,13 @@ class BenchResult:
 def bench_attention(kind, sizes, d=64, reps=7, seed=0):
     """Time one mechanism across token counts, after two warmup runs.
 
-    At least five repetitions are required so the median is meaningful.
-    A size whose float64 intermediates, inputs and parameters together fail
-    :func:`cuenet.weights.check_size` raises ``ConfigError`` before any
+    The sizes are timed round-robin: every size runs twice as warmup, then
+    repetition r of every size runs before repetition r + 1 of any, so a
+    burst of load on the host spreads over all sizes instead of skewing
+    one.  At least five repetitions are required so the median is
+    meaningful.  The sweep holds every size's inputs and parameters at
+    once, so a size whose float64 intermediates plus all of those together
+    fail :func:`cuenet.weights.check_size` raises ``ConfigError`` before any
     input is drawn.  The checksum digests the output bytes; identical seeds
     must reproduce it exactly.
     """
@@ -298,23 +302,28 @@ def bench_attention(kind, sizes, d=64, reps=7, seed=0):
         raise ParamError("empty size sweep")
     if seed < 0:
         raise ParamError(f"seed must be non-negative, got {seed}")
+    held = sum(_instance_elements(kind, n, d) for n in sizes)
     for n in sizes:
         check_size({f"{kind} at n={n}": estimate_memory(kind, n, d).elements
-                    + _instance_elements(kind, n, d)}, "double")
-    results = []
-    for n in sizes:
-        run = _attention_instance(kind, n, d, seed)
-        for _ in range(2):  # warmup
+                    + held}, "double")
+    runs = [_attention_instance(kind, n, d, seed) for n in sizes]
+    for _ in range(2):  # warmup
+        for run in runs:
             run()
-        times = []
-        for _ in range(reps):
+    times = [[] for _ in sizes]
+    checksums = []
+    for rep in range(reps):
+        for run, row in zip(runs, times):
             start = time.perf_counter_ns()
             out = run()
-            times.append(time.perf_counter_ns() - start)
-        median = statistics.median(times)
-        mad = statistics.median([abs(t - median) for t in times])
-        digest = hashlib.sha256(
-            np.ascontiguousarray(out).tobytes()).hexdigest()[:16]
+            row.append(time.perf_counter_ns() - start)
+            if rep == reps - 1:
+                checksums.append(hashlib.sha256(
+                    np.ascontiguousarray(out).tobytes()).hexdigest()[:16])
+    results = []
+    for n, row, digest in zip(sizes, times, checksums):
+        median = statistics.median(row)
+        mad = statistics.median([abs(t - median) for t in row])
         results.append(BenchResult(kind=kind, n=int(n),
                                    median_ns=int(median), mad_ns=int(mad),
                                    checksum=digest))

@@ -86,7 +86,7 @@ def spatial_dwconv(x, grid, kernel):
     if m != gh * gw + 1:
         raise ShapeError(f"token array has {m} tokens per frame; grid "
                          f"{grid} implies {gh * gw + 1}")
-    volume = np.ascontiguousarray(x[:, 1:, :]).reshape(t, gh, gw, d)
+    volume = x[:, 1:, :].reshape(t, gh, gw, d)
     return dwconv3d(volume, kernel).reshape(t, gh * gw, d)
 
 

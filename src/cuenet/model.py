@@ -6,12 +6,12 @@ The inference path is
          -> gated fusion -> logits
 
 The backbone turns a (frames, height, width, channels) clip into one plain
-(frames_out, 1 + grid_h*grid_w, hidden) token array: a strided 3-d patch
-convolution (temporal extent 3, zero padded so the frame count survives;
-spatial stride equal to the patch edge), a stride-2 temporal selection, and
-a learnable class token prepended to each frame's spatial tokens.  The
-blocks take that array and the grid ``(cfg.grid_h, cfg.grid_w)`` side by
-side.
+(frames_out, 1 + grid_h*grid_w, hidden) token array: a patch embedding
+(``tensor.patch_embed``: non-overlapping patches, three temporal taps, zero
+padded so the frame count survives), a stride-2 temporal selection, and
+a learnable class token in front of each frame's spatial tokens, all
+written into that one array.  The blocks take that array and the grid
+``(cfg.grid_h, cfg.grid_w)`` side by side.
 
 ``forward`` installs its optional ``trace`` dict as the shape sink of
 :mod:`cuenet.instrument`, where every stage records the exact shape of its
@@ -22,12 +22,11 @@ import numpy as np
 
 from . import fusion as fusion_ops
 from .blocks import local_uniblock_forward
-from .config import PATCH, TEMPORAL_KERNEL
 from .crop import apply_crop, compute_crop_box
 from .errors import ConfigError, ShapeError
 from .global_block import global_uniblock_forward
 from .instrument import record_shape, stage, tracing
-from .tensor import check_tensor, conv3d, dtype_of
+from .tensor import check_tensor, dtype_of, patch_embed
 from .weights import bind_parameters
 
 
@@ -109,15 +108,12 @@ def backbone_forward(video, params, cfg):
     if video.dtype != dtype_of(cfg.precision):
         raise ConfigError(f"backbone input dtype {video.dtype} does not "
                           f"match configured precision {cfg.precision}")
-    conv = conv3d(video, params.patch_kernel, stride=(1, PATCH, PATCH),
-                  padding=(TEMPORAL_KERNEL // 2, 0, 0))
-    conv = conv + params.patch_bias
-    selected = conv[::2]
-    t2 = cfg.frames_out
-    spatial = selected.reshape(t2, cfg.spatial_tokens, cfg.hidden)
-    cls = np.broadcast_to(params.class_token,
-                          (t2, 1, cfg.hidden)).astype(video.dtype)
-    return np.concatenate([cls, spatial], axis=1)
+    conv = patch_embed(video, params.patch_kernel)
+    t2, s, d = cfg.frames_out, cfg.spatial_tokens, cfg.hidden
+    tokens = np.empty((t2, 1 + s, d), dtype=video.dtype)
+    tokens[:, 0] = params.class_token
+    np.add(conv[::2].reshape(t2, s, d), params.patch_bias, out=tokens[:, 1:])
+    return tokens
 
 
 def network_forward(video, params, cfg):

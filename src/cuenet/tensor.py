@@ -18,16 +18,19 @@ Reductions performed with a BLAS backend accumulate in a fixed order chosen
 by the backend, so repeated runs on the same machine are bit-identical even
 though the order is not literal left-to-right.
 
-The two convolutions build their own zero-padded buffer (one ``np.zeros``
-and one slice assignment) and their own read-only window view (one
-``as_strided`` over the input's strides) rather than calling ``np.pad`` and
-``sliding_window_view``.  The bytes are the same; the point is per-call
-cost, since on the desk geometry the arrays are tiny and those helpers'
-Python-level argument handling outweighs the copying: on an (8, 4, 4, 64)
-double volume ``np.pad`` takes about 27 us per call against 6 us for the
-buffer, and ``sliding_window_view`` about 9 us against 5 us for the view
-(numpy 2.4, one core of a 2-vCPU Xeon).  The view is read-only, so no
-caller can write through it into the input.
+The depthwise convolution builds its own zero-padded buffer (one
+``np.zeros`` and one slice assignment) and its own read-only window view
+(one ``as_strided`` over the input's strides) rather than calling
+``np.pad`` and ``sliding_window_view``.  The bytes are the same; the point
+is per-call cost, since on the desk geometry the arrays are tiny and those
+helpers' Python-level argument handling outweighs the copying: on an
+(8, 4, 4, 64) double volume ``np.pad`` takes about 27 us per call against
+6 us for the buffer, and ``sliding_window_view`` about 9 us against 5 us
+for the view (numpy 2.4, one core of a 2-vCPU Xeon).  The view is
+read-only, so no caller can write through it into the input.  The patch
+embedding needs no window view: its patches do not overlap, so a reshape
+of the clip splits them out, and its temporal padding is the zero frames
+of the one buffer it gathers them into.
 
 The two nonlinearities pick their code by the input's precision.  Double
 precision uses ``scipy.special`` (``erf`` for :func:`gelu`, ``expit`` for
@@ -159,78 +162,63 @@ def _zero_padded(x, pads):
     return out
 
 
-def _window_view(x, axes, window, step):
-    """Read-only view of the windows of extent ``window`` along ``axes``,
-    every ``step`` positions.
+def _window_view(x, window):
+    """Read-only view of every window of extent ``window`` = (kt, kh, kw)
+    over the three leading axes of a (T,H,W,C) volume.
 
     The result has the shape and strides of ``sliding_window_view(x,
-    window, axis=axes)`` with each windowed axis sliced by its step: the
-    window positions stay in place and the window offsets are appended
-    last.  Built from ``x``'s own strides, so any strided input works.
+    window, axis=(0, 1, 2))``: the window positions stay in place and the
+    window offsets are appended last.  Built from ``x``'s own strides, so
+    any strided input works.
     """
-    shape, strides = list(x.shape), list(x.strides)
-    for axis, k, s in zip(axes, window, step):
-        shape[axis] = (x.shape[axis] - k) // s + 1
-        strides[axis] = x.strides[axis] * s
-    return as_strided(x, shape=tuple(shape) + tuple(window),
-                      strides=tuple(strides) + tuple(x.strides[a]
-                                                     for a in axes),
-                      writeable=False)
+    shape = tuple(n - k + 1 for n, k in zip(x.shape, window)) + x.shape[3:]
+    return as_strided(x, shape=shape + tuple(window),
+                      strides=x.strides + x.strides[:3], writeable=False)
 
 
-def conv3d(x, kernel, stride, padding=(0, 0, 0)):
-    """Valid cross-correlation of a (T,H,W,C) volume with a 5-d kernel.
+def patch_embed(x, kernel):
+    """Project the non-overlapping patches of a (T,H,W,C) clip.
 
-    ``kernel`` has extents (kt,kh,kw,c_in,c_out); the input is zero-padded by
-    ``padding`` per spatial-temporal axis before the valid sweep.  Output
-    extents follow the floor convention ``(in + 2p - k)//s + 1``.  Reports
-    ``out_elements * kt*kh*kw*c_in`` multiply-adds.
+    ``kernel`` has extents (kt,p,p,c_in,c_out) with ``kt`` odd: each output
+    frame is the cross-correlation of ``kt`` consecutive frames, ``kt//2``
+    zero frames padding each end so the frame count survives, with the
+    clip's p-by-p patches, so the output is (T, H/p, W/p, c_out).  Reports
+    ``out_elements * kt*p*p*c_in`` multiply-adds.
 
-    Each frame's strided spatial windows are gathered once, straight into a
-    buffer of rows of ``kh*kw*c_in`` values whose ``pt`` leading and
-    trailing frames stay zero as the temporal padding, so the clip is copied
-    once (twice with spatial padding).  Every temporal tap is then one
-    matrix product of those rows with that tap's ``(kh*kw*c_in, c_out)``
-    kernel slice; the output is the sum of the ``kt`` products.  When the
-    spatial stride equals the kernel extent the rows are the non-overlapping
-    patches, and the convolution is a patch-embedding projection.
+    Splitting H and W into (grid, p) is a reshape, a view for any strides,
+    so each frame's patches are gathered once, straight into a buffer of
+    rows of ``p*p*c_in`` values whose ``kt//2`` leading and trailing frames
+    stay zero as the temporal padding: the clip is copied once.  Every
+    temporal tap is then one matrix product of those rows with that tap's
+    ``(p*p*c_in, c_out)`` kernel slice; the output is the sum of the ``kt``
+    products.
     """
-    check_tensor(x, rank=4, name="conv3d input")
-    check_tensor(kernel, rank=5, name="conv3d kernel")
-    _check_same_precision(x, kernel, "conv3d")
-    if len(stride) != 3 or any(int(s) != s or s <= 0 for s in stride):
-        raise ParamError(f"conv3d stride must be three positive integers, got "
-                         f"{stride}")
-    if len(padding) != 3 or any(int(p) != p or p < 0 for p in padding):
-        raise ParamError(f"conv3d padding must be three non-negative integers, "
-                         f"got {padding}")
-    kt, kh, kw, c_in, c_out = kernel.shape
-    if c_in != x.shape[3]:
-        raise ShapeError(f"conv3d kernel expects {c_in} input channels, "
-                         f"input has {x.shape[3]}")
-    pt, ph, pw = (int(p) for p in padding)
-    t, h, w = x.shape[:3]
-    t_pad = t + 2 * pt
-    if kt > t_pad or kh > h + 2 * ph or kw > w + 2 * pw:
-        raise ShapeError(f"conv3d kernel {kernel.shape[:3]} exceeds padded "
-                         f"input {(t_pad, h + 2 * ph, w + 2 * pw)}")
-    st, sh, sw = (int(s) for s in stride)
-    if ph or pw:
-        x = _zero_padded(x, (0, ph, pw))
-    windows = _window_view(x, (1, 2), (kh, kw), (sh, sw))
-    h_out, w_out = windows.shape[1:3]
-    # windows fill the middle frames in (i, j, c) order, like the kernel taps
-    rows = np.zeros((t_pad, h_out * w_out, kh * kw * c_in), dtype=x.dtype)
-    rows[pt:pt + t].reshape(t, h_out, w_out, kh, kw, c_in)[...] = \
-        windows.transpose(0, 1, 2, 4, 5, 3)
-    taps = kernel.reshape(kt, kh * kw * c_in, c_out)
-    t_out = (t_pad - kt) // st + 1
-    span = (t_out - 1) * st + 1
-    out = rows[0:span:st] @ taps[0]
+    check_tensor(x, rank=4, name="patch_embed input")
+    check_tensor(kernel, rank=5, name="patch_embed kernel")
+    _check_same_precision(x, kernel, "patch_embed")
+    kt, p, pw, c_in, c_out = kernel.shape
+    t, h, w, c = x.shape
+    if c_in != c:
+        raise ShapeError(f"patch_embed kernel expects {c_in} input channels, "
+                         f"input has {c}")
+    if p != pw:
+        raise ShapeError(f"patch_embed patches must be square, got {p}x{pw}")
+    if kt % 2 == 0:
+        raise ShapeError(f"patch_embed temporal extent must be odd, got {kt}")
+    if p == 0 or h % p or w % p:
+        raise ShapeError(f"patch_embed input {h}x{w} is not a whole number "
+                         f"of {p}x{p} patches")
+    gh, gw, pt = h // p, w // p, kt // 2
+    # patches fill the middle frames in (i, j, c) order, like the kernel taps
+    rows = np.zeros((t + 2 * pt, gh * gw, p * p * c), dtype=x.dtype)
+    rows[pt:pt + t].reshape(t, gh, gw, p, p, c)[...] = \
+        x.reshape(t, gh, p, gw, p, c).transpose(0, 1, 3, 2, 4, 5)
+    taps = kernel.reshape(kt, p * p * c, c_out)
+    out = rows[:t] @ taps[0]
     for dt in range(1, kt):
-        out += rows[dt:dt + span:st] @ taps[dt]
-    out = out.reshape(t_out, h_out, w_out, c_out)
-    add_macs(out.size * kt * kh * kw * c_in)
+        out += rows[dt:dt + t] @ taps[dt]
+    out = out.reshape(t, gh, gw, c_out)
+    add_macs(out.size * kt * p * p * c_in)
     return out
 
 
@@ -252,7 +240,7 @@ def dwconv3d(x, kernel):
         raise ShapeError(f"dwconv3d kernel expects {d} channels, input has "
                          f"{x.shape[3]}")
     padded = _zero_padded(x, (kt // 2, kh // 2, kw // 2))
-    windows = _window_view(padded, (0, 1, 2), (kt, kh, kw), (1, 1, 1))
+    windows = _window_view(padded, (kt, kh, kw))
     out = np.einsum("thwcijk,ijkc->thwc", windows, kernel)
     add_macs(out.size * kt * kh * kw)
     return out

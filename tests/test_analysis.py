@@ -251,6 +251,12 @@ class TestBench:
         with pytest.raises(ConfigError, match="^self_attention at n=16384: "
                            "2181136384 bytes in double precision, over the "
                            "2 GiB limit$"):
+            analysis.bench_attention(ATTENTION_SELF, (16384,), d=64)
+        # the sweep holds every size's instance at once: n=8 adds its
+        # 8*64 inputs and 3*64*64 parameters, 102,400 bytes
+        with pytest.raises(ConfigError, match="^self_attention at n=16384: "
+                           "2181238784 bytes in double precision, over the "
+                           "2 GiB limit$"):
             analysis.bench_attention(ATTENTION_SELF, (8, 16384), d=64)
         assert analysis.estimate_memory(ATTENTION_SELF, 8192, 64).elements \
             * 8 <= INIT_SIZE_LIMIT

@@ -20,9 +20,10 @@ from cuenet.errors import BoundsError, ConfigError, ShapeError
 from cuenet.global_block import global_uniblock_forward
 from cuenet.instrument import (UNATTRIBUTED, MacCounter, MemoryMeter,
                                counting, metering, record_shape, tracing)
-from cuenet.tensor import conv3d, dtype_of
+from cuenet.tensor import dtype_of
 
-from util import assert_close, resize_oracle, resize_reference
+from util import (assert_close, conv3d_reference, resize_oracle,
+                  resize_reference)
 
 
 def small_config(**overrides):
@@ -232,8 +233,8 @@ class TestBackbone:
         params = model.bind_parameters(weights.init_weights(cfg), cfg)
         video = random_clip(rng, cfg)
         x = model.backbone_forward(video, params, cfg)
-        conv = conv3d(video, params.patch_kernel, stride=(1, 16, 16),
-                      padding=(1, 0, 0)) + params.patch_bias
+        conv = conv3d_reference(video, params.patch_kernel, (1, 16, 16),
+                                (1, 0, 0)) + params.patch_bias
         want = conv[::2].reshape(2, 4, 64)
         assert np.array_equal(x[:, 1:, :], want)
 
@@ -248,8 +249,8 @@ class TestBackbone:
         # conv frame t reads video frames t-1..t+1; outputs 0 and 2 never
         # read a frame that is exclusive to outputs 1 and 3, so perturb the
         # kernel instead: identical results prove pure even-index selection
-        conv = conv3d(video, params.patch_kernel, stride=(1, 16, 16),
-                      padding=(1, 0, 0)) + params.patch_bias
+        conv = conv3d_reference(video, params.patch_kernel, (1, 16, 16),
+                                (1, 0, 0)) + params.patch_bias
         assert np.array_equal(base[:, 1:, :],
                               conv[[0, 2]].reshape(2, 4, 64))
 

@@ -349,43 +349,34 @@ class TestSoftmax:
         assert np.all(np.abs(x.sum(axis=1) - 1.0) <= 1e-12)
 
 
-class TestConv3d:
+class TestPatchEmbed:
     def test_delta_kernel_identity(self):
         rng = np.random.default_rng(20)
         x = rng.standard_normal((3, 4, 4, 2))
         kernel = np.zeros((1, 1, 1, 2, 2))
         kernel[0, 0, 0, 0, 0] = 1.0
         kernel[0, 0, 0, 1, 1] = 1.0
-        out = tensor.conv3d(x, kernel, stride=(1, 1, 1))
+        out = tensor.patch_embed(x, kernel)
         assert_close(out, x, rel=1e-15)
 
     def test_ones_kernel_sums_window(self):
-        x = np.ones((2, 2, 2, 1))
-        kernel = np.ones((2, 2, 2, 1, 1))
-        out = tensor.conv3d(x, kernel, stride=(1, 1, 1))
-        assert out.shape == (1, 1, 1, 1)
-        assert out[0, 0, 0, 0] == 8.0
+        # the end frames see one zero padding frame, the middle one none
+        x = np.ones((3, 2, 2, 1))
+        kernel = np.ones((3, 2, 2, 1, 1))
+        out = tensor.patch_embed(x, kernel)
+        assert out.shape == (3, 1, 1, 1)
+        assert out[:, 0, 0, 0].tolist() == [8.0, 12.0, 8.0]
 
     def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(21)
-        x = rng.standard_normal((4, 6, 6, 2))
-        kernel = rng.standard_normal((3, 3, 3, 2, 3))
-        for stride, padding in (((1, 1, 1), (0, 0, 0)),
-                                ((1, 2, 2), (1, 0, 0)),
-                                ((2, 3, 3), (0, 1, 1))):
-            got = tensor.conv3d(x, kernel, stride=stride, padding=padding)
-            want = conv3d_oracle(x, kernel, stride, padding)
-            assert got.shape == want.shape
-            assert_close(got, want, rel=1e-10)
         # patch geometry: spatial stride equal to the spatial kernel extent,
-        # floor remainders in H and W, temporal padding as in the backbone
-        x = rng.standard_normal((5, 9, 11, 3))
-        kernel = rng.standard_normal((3, 4, 3, 3, 2))
-        for stride in ((1, 4, 3), (2, 4, 3)):
-            got = tensor.conv3d(x, kernel, stride=stride, padding=(1, 0, 0))
-            want = conv3d_oracle(x, kernel, stride, (1, 0, 0))
-            assert got.shape == want.shape
-            assert_close(got, want, rel=1e-10)
+        # temporal padding as in the backbone
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((5, 8, 12, 3))
+        kernel = rng.standard_normal((3, 4, 4, 3, 2))
+        got = tensor.patch_embed(x, kernel)
+        want = conv3d_oracle(x, kernel, (1, 4, 4), (1, 0, 0))
+        assert got.shape == want.shape
+        assert_close(got, want, rel=1e-10)
 
     def test_backbone_geometry_copies_the_clip_once(self):
         # 16x112x112 RGB clip, 16x16 patches, three temporal taps padded by
@@ -396,41 +387,39 @@ class TestConv3d:
         kernel = rng.standard_normal((3, 16, 16, 3, 64)).astype(np.float32)
         tracemalloc.start()
         try:
-            tensor.conv3d(x, kernel, stride=(1, 16, 16), padding=(1, 0, 0))
+            tensor.patch_embed(x, kernel)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * x.nbytes
 
-    def test_output_extents_follow_floor_rule(self):
-        x = np.zeros((5, 9, 7, 1))
-        kernel = np.zeros((3, 3, 3, 1, 2))
-        out = tensor.conv3d(x, kernel, stride=(2, 2, 2), padding=(1, 0, 1))
-        assert out.shape == ((5 + 2 - 3) // 2 + 1, (9 - 3) // 2 + 1,
-                             (7 + 2 - 3) // 2 + 1, 2)
-
-    def test_bad_stride_rejected(self):
-        x = np.zeros((2, 2, 2, 1))
-        kernel = np.zeros((1, 1, 1, 1, 1))
-        with pytest.raises(ParamError):
-            tensor.conv3d(x, kernel, stride=(0, 1, 1))
-
-    def test_oversized_kernel_rejected(self):
-        with pytest.raises(ShapeError):
-            tensor.conv3d(np.zeros((2, 2, 2, 1)), np.zeros((3, 1, 1, 1, 1)),
-                          stride=(1, 1, 1))
-
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            tensor.conv3d(np.zeros((2, 2, 2, 3)), np.zeros((1, 1, 1, 2, 1)),
-                          stride=(1, 1, 1))
+            tensor.patch_embed(np.zeros((2, 2, 2, 3)),
+                               np.zeros((1, 1, 1, 2, 1)))
+
+    @pytest.mark.parametrize("x_shape, kernel_shape, message", (
+        ((2, 4, 4, 1), (3, 2, 1, 1, 1), "square"),
+        ((2, 4, 4, 1), (2, 2, 2, 1, 1), "odd"),
+        ((2, 5, 4, 1), (3, 2, 2, 1, 1), "whole number"),
+        ((2, 4, 6, 1), (3, 4, 4, 1, 1), "whole number"),
+        ((2, 4, 4, 1), (3, 0, 0, 1, 1), "whole number")),
+        ids=("non_square", "even_kt", "ragged_h", "ragged_w", "empty_patch"))
+    def test_bad_geometry_rejected(self, x_shape, kernel_shape, message):
+        with pytest.raises(ShapeError, match=message):
+            tensor.patch_embed(np.zeros(x_shape), np.zeros(kernel_shape))
+
+    def test_mixed_precision_rejected(self):
+        with pytest.raises(ShapeError, match="mixed precisions"):
+            tensor.patch_embed(np.zeros((2, 2, 2, 1)),
+                               np.zeros((1, 1, 1, 1, 1), dtype=np.float32))
 
     def test_counts_window_times_output(self):
         x = np.zeros((4, 8, 8, 3))
         kernel = np.zeros((3, 2, 2, 3, 5))
         counter = MacCounter()
         with counting(counter):
-            out = tensor.conv3d(x, kernel, stride=(1, 2, 2))
+            out = tensor.patch_embed(x, kernel)
         assert counter.total == out.size * 3 * 2 * 2 * 3
 
 
@@ -494,25 +483,21 @@ class TestByteReferences:
         assert got.tobytes() == want.tobytes()
 
     @REFERENCE_CASES
-    @given(seed=st.integers(0, 2 ** 32 - 1), dtype=dtypes,
-           window=st.tuples(odd_extents, odd_extents, odd_extents),
-           stride=st.tuples(st.integers(1, 3), st.integers(1, 3),
-                            st.integers(1, 3)),
-           padding=st.tuples(st.integers(0, 2), st.integers(0, 2),
-                             st.integers(0, 2)),
-           slack=st.tuples(st.integers(0, 5), st.integers(0, 5),
-                           st.integers(0, 5)),
+    @given(seed=st.integers(0, 2 ** 32 - 1), dtype=dtypes, kt=odd_extents,
+           p=st.integers(1, 4),
+           extents=st.tuples(st.integers(1, 6), st.integers(1, 4),
+                             st.integers(1, 4)),
            channels=st.tuples(st.integers(1, 3), st.integers(1, 3)),
            strided=st.booleans())
-    def test_conv3d(self, seed, dtype, window, stride, padding, slack,
-                    channels, strided):
-        extents = tuple(max(1, k - 2 * p) + s
-                        for k, p, s in zip(window, padding, slack))
-        x = draw_volume(seed, extents + channels[:1], dtype, strided)
+    def test_patch_embed(self, seed, dtype, kt, p, extents, channels,
+                         strided):
+        t, gh, gw = extents
+        x = draw_volume(seed, (t, gh * p, gw * p, channels[0]), dtype,
+                        strided)
         kernel = np.random.default_rng(seed + 1).standard_normal(
-            window + channels).astype(dtype)
-        got = tensor.conv3d(x, kernel, stride=stride, padding=padding)
-        want = conv3d_reference(x, kernel, stride, padding)
+            (kt, p, p) + channels).astype(dtype)
+        got = tensor.patch_embed(x, kernel)
+        want = conv3d_reference(x, kernel, (1, p, p), (kt // 2, 0, 0))
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -535,8 +520,9 @@ class TestByteReferences:
 
 
 class TestWindowViews:
-    """Both convolutions read their input through a read-only window view
-    and never write it."""
+    """The depthwise convolution reads its input through a read-only window
+    view, the patch embedding through a reshape; neither writes its
+    input."""
 
     @pytest.fixture
     def views(self, monkeypatch):
@@ -551,18 +537,18 @@ class TestWindowViews:
         monkeypatch.setattr(tensor, "_window_view", recording)
         return made
 
-    @pytest.mark.parametrize("padding", ((0, 0, 0), (1, 0, 0), (1, 2, 1)))
-    def test_conv3d(self, views, padding):
+    @pytest.mark.parametrize("padding", (0, 1, 2),
+                             ids=lambda frames: f"padding{frames}")
+    def test_patch_embed(self, views, padding):
+        # ``padding`` zero frames at each end: a temporal extent of 2p+1
         rng = np.random.default_rng(40)
         x = rng.standard_normal((4, 12, 10, 2))[:, ::2]
-        kernel = rng.standard_normal((3, 3, 3, 2, 4))
+        x.flags.writeable = False
+        kernel = rng.standard_normal((2 * padding + 1, 2, 2, 2, 4))
         before = x.tobytes()
-        tensor.conv3d(x, kernel, stride=(1, 2, 2), padding=padding)
+        tensor.patch_embed(x, kernel)
         assert x.tobytes() == before
-        assert len(views) == 1
-        assert not views[0].flags.writeable
-        with pytest.raises(ValueError):
-            views[0][(0,) * views[0].ndim] = 1.0
+        assert not views
 
     def test_dwconv3d(self, views):
         rng = np.random.default_rng(41)
@@ -573,13 +559,15 @@ class TestWindowViews:
         assert x.tobytes() == before
         assert len(views) == 1
         assert not views[0].flags.writeable
+        with pytest.raises(ValueError):
+            views[0][(0,) * views[0].ndim] = 1.0
 
     def test_view_matches_sliding_window_view(self):
         from numpy.lib.stride_tricks import sliding_window_view
-        x = np.arange(2 * 9 * 7 * 3, dtype=np.float64).reshape(
-            2, 9, 7, 3)[:, ::2]
-        got = tensor._window_view(x, (1, 2), (3, 2), (2, 3))
-        want = sliding_window_view(x, (3, 2), axis=(1, 2))[:, ::2, ::3]
+        x = np.arange(5 * 9 * 7 * 3, dtype=np.float64).reshape(
+            5, 9, 7, 3)[:, ::2]
+        got = tensor._window_view(x, (3, 3, 2))
+        want = sliding_window_view(x, (3, 3, 2), axis=(0, 1, 2))
         assert got.shape == want.shape and got.strides == want.strides
         assert np.array_equal(got, want)
 

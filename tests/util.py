@@ -125,7 +125,9 @@ def resize_oracle(video, out_h, out_w):
 
 
 def conv3d_reference(x, kernel, stride, padding=(0, 0, 0)):
-    """``tensor.conv3d`` on ``np.pad`` and ``sliding_window_view``."""
+    """A strided, padded 3-d convolution on ``np.pad`` and
+    ``sliding_window_view``; ``tensor.patch_embed`` is its case
+    ``stride=(1, p, p)``, ``padding=(kt // 2, 0, 0)``."""
     kt, kh, kw, c_in, c_out = kernel.shape
     pt, ph, pw = padding
     st, sh, sw = stride
