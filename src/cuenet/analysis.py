@@ -101,9 +101,9 @@ def count_flops(cfg):
 
     Preprocessing (crop and resize) is excluded: the model prices the
     network at its configured input geometry.  An attention stage over t
-    frames of n tokens peaks at t times :func:`estimate_memory`, plus t*n*d
-    for the context multi-head self-attention keeps beside one head; an FFN
-    stage at its GELU output, one ``ffn_hidden`` row per token.
+    frames of n tokens peaks at t times :func:`estimate_memory` with the
+    configured head count; an FFN stage at its GELU output, one
+    ``ffn_hidden`` row per token.
     """
     d = cfg.hidden
     t2 = cfg.frames_out
@@ -115,8 +115,7 @@ def count_flops(cfg):
     peaks = {"input": cfg.frames * cfg.height * cfg.width * cfg.channels}
 
     def attention_peak(kind, t, n):
-        context = kind == ATTENTION_SELF and cfg.heads > 1
-        return t * (estimate_memory(kind, n, d).elements + context * n * d)
+        return t * estimate_memory(kind, n, d, cfg.heads).elements
 
     stages["backbone"] = (cfg.frames * cfg.grid_h * cfg.grid_w * d
                           * (TEMPORAL_KERNEL * PATCH * PATCH * cfg.channels))
@@ -206,24 +205,30 @@ class MemEstimate:
     elements: int
 
 
-def estimate_memory(kind, n, d):
+def estimate_memory(kind, n, d, heads=1):
     """Closed-form peak of the mechanism's buffer schedule, in elements.
 
     Inputs and parameters are excluded; the peaks cover the intermediates
-    announced to the memory meter by the pooled kernels, self-attention with
-    one head.  Its softmax normalizes the n-by-n scores in place, so the
-    quadratic term is one score matrix: 3*n*d + n*n.
+    announced to the memory meter by the kernels over (n, d) tokens, pooled
+    or not.  ``heads`` applies to self-attention only.  Its softmax
+    normalizes the scores in place, b = :func:`cuenet.attention.score_rows`
+    query rows at a time, so past q, k and v it holds one (b, n) block of
+    scores, and beside them the n-by-d context once more than one head or
+    block writes it: 3*n*d + n*n for one head up to n = 512, and
+    4*n*d + b*n above.
     """
-    if n < 1 or d < 1:
-        raise ParamError(f"token count and width must be positive, got "
-                         f"n={n}, d={d}")
+    if n < 1 or d < 1 or heads < 1:
+        raise ParamError(f"token count, width and heads must be positive, "
+                         f"got n={n}, d={d}, heads={heads}")
     check_kind(kind)
     if kind == ATTENTION_MEAA:
         elements = 2 * n * d + 2 * d
     elif kind == ATTENTION_EAA:
         elements = 3 * n * d + n + d
     else:
-        elements = 3 * n * d + n * n
+        b = attention.score_rows(n)
+        context = heads > 1 or b < n
+        elements = (3 + context) * n * d + b * n
     return MemEstimate(kind=kind, n=n, d=d, elements=elements)
 
 

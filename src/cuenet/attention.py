@@ -4,7 +4,8 @@ Three interchangeable mechanisms, named by the ``ATTENTION_*`` kinds:
 
 * :func:`mhsa` -- conventional multi-head self-attention with softmax over
   pairwise scores, :func:`softmax_attention` followed by an output
-  projection.  Cost and intermediate storage grow with n**2.
+  projection.  Cost grows with n**2, and so does intermediate storage up
+  to 512 tokens; past that the scores are made in blocks of query rows.
 * :func:`eaa_original` -- additive attention with a matrix query: every token
   row is projected to a query, per-row scores are softmax-normalized, and
   their weighted sum forms a single global query vector.  Linear in n.
@@ -26,25 +27,27 @@ The additive kernels and :func:`softmax_attention` announce intermediate
 buffer lifetimes to the active memory meter (see :mod:`cuenet.instrument`)
 under a fixed step schedule: a step's inputs stay live until its outputs
 exist, and a softmax normalizes its scores in place, so its weights are the
-scores buffer.  The resulting high-water marks on (n, d) tokens, pooled and
-one head, in elements:
+scores buffer.  Self-attention scores b = :func:`score_rows` query rows at
+a time: all n rows up to n = 512, else about :data:`SCORE_BLOCK` / n.  The
+resulting high-water marks on (n, d) tokens, pooled and one head, in
+elements:
 
-* meaa:               2*n*d + 2*d
-* eaa_original:       3*n*d + n + d
-* softmax_attention:  3*n*d + n*n
+* meaa:                         2*n*d + 2*d
+* eaa_original:                 3*n*d + n + d
+* softmax_attention, n <= 512:  3*n*d + n*n
+* softmax_attention, n > 512:   4*n*d + b*n
 
-A (t, n, d) stack with more than one head holds its context beside q, k, v
-and one head's scores: 4*t*n*d + t*n*n.  Every kernel frees what it charged
-before it returns, its output included, so a meter around any call ends
-with zero live elements.
+A (t, n, d) stack holds t times as much.  Past one block of one head, the
+context is held beside q, k, v and one block of scores: 4*t*n*d + t*b*n,
+with b = n below 513 tokens.  Every kernel frees what it charged before it
+returns, its output included, so a meter around any call ends with zero
+live elements.
 
 Each buffer the schedule names is one allocation: bias and residual adds
 and the softmax run in place in it, and no kernel writes its inputs or
 parameters.  Apart from the returned output, a buffer's last reference goes
-when the meter frees it, with one exception: the additive kernels keep
-their fused rows and query residual referenced while :func:`_project_rows`
-runs, so at large n their measured peak holds one n-by-d buffer more than
-the schedule: about 3*n*d for meaa and 4*n*d for eaa_original.
+when the meter frees it; an additive kernel's hidden rows go when it
+returns, after no more than the (1, d) mean.
 
 Gradients for the modified form are provided analytically in
 :func:`meaa_grad` for every parameter group plus both inputs.
@@ -65,6 +68,10 @@ ATTENTION_SELF = "self_attention"
 ATTENTION_MEAA = "meaa"
 ATTENTION_EAA = "eaa_original"
 ATTENTION_KINDS = (ATTENTION_SELF, ATTENTION_MEAA, ATTENTION_EAA)
+
+# score elements per frame in one block of softmax_attention (at least one
+# whole row); see score_rows
+SCORE_BLOCK = 2 ** 18
 
 
 def check_kind(kind):
@@ -164,14 +171,15 @@ def attention_scalar(q_star, w_a):
     return scale(raw, 1.0 / math.sqrt(d)).reshape(q_star.shape[:-1] + (1,))
 
 
-def _project_rows(fused, residual, p, pool):
-    """Shared tail of the additive kernels: two projections, optional mean.
+def _hidden_rows(fused, residual, p):
+    """First projection of the additive kernels' shared tail.
 
     ``fused`` is a (t, n, d) stack.  ``residual``, the query (live in the
-    memory meter as ``q``), broadcasts against it, is added after the first
-    projection and is released with ``fused``.  Returns the (t, n, d) rows,
-    or with ``pool`` the (1, d) mean of a one-frame stack's rows; the meter
-    holds nothing of the call on return.
+    memory meter as ``q``), broadcasts against it and is added after the
+    projection.  Charges the returned ``hidden`` rows and frees ``fused``
+    and ``q`` in the meter; the caller drops its own reference to
+    ``fused``, and to an n-row residual, before :func:`_output_rows`
+    allocates.
     """
     d = fused.shape[-1]
     hidden = matmul(fused.reshape(-1, d), p.w1).reshape(fused.shape)
@@ -180,13 +188,23 @@ def _project_rows(fused, residual, p, pool):
     meter_alloc("hidden", hidden.size)
     meter_free("fused")
     meter_free("q")
+    return hidden
+
+
+def _output_rows(hidden, p, pool):
+    """Second projection of the additive kernels' shared tail.
+
+    Returns the (t, n, d) rows of a (t, n, d) ``hidden`` stack, or with
+    ``pool`` the (1, d) mean of a one-frame stack's rows; the meter holds
+    nothing of the call on return.
+    """
+    d = hidden.shape[-1]
     rows = matmul(hidden.reshape(-1, d), p.w2)
     rows += p.b2
     meter_alloc("rows", rows.size)
     meter_free("hidden")
-    del hidden
     meter_free("rows")
-    return mean_rows(rows) if pool else rows.reshape(fused.shape)
+    return mean_rows(rows) if pool else rows.reshape(hidden.shape)
 
 
 def meaa(q_normed, tokens, p, pool=True):
@@ -219,7 +237,9 @@ def meaa(q_normed, tokens, p, pool=True):
     meter_free("k")
     meter_free("q_gated")
     del k, q_gated
-    out = _project_rows(fused, q_star, p, pool)
+    hidden = _hidden_rows(fused, q_star, p)
+    del fused
+    out = _output_rows(hidden, p, pool)
     return out if pool else out.reshape(tokens.shape)
 
 
@@ -313,7 +333,9 @@ def eaa_original(tokens, p, pool=True):
     meter_free("k")
     meter_free("q_global")
     del scores, k, q_global
-    out = _project_rows(fused, q, p, pool)
+    hidden = _hidden_rows(fused, q, p)
+    del fused, q
+    out = _output_rows(hidden, p, pool)
     return out if pool else out.reshape(tokens.shape)
 
 
@@ -321,20 +343,31 @@ def eaa_original(tokens, p, pool=True):
 # softmax self-attention
 # ---------------------------------------------------------------------------
 
+def score_rows(n):
+    """Query rows per score block of :func:`softmax_attention` over n
+    tokens: all n up to 512, else :data:`SCORE_BLOCK` // n, at least one."""
+    return min(n, max(1, SCORE_BLOCK // n))
+
+
 def softmax_attention(tokens, wq, wk, wv, heads):
     """Multi-head softmax attention without output projection; the context
     comes back in the input's shape.
 
-    Each head's scores and context are one batched product over frames.
-    Heads stay a loop, so the softmax works on one head's (t*n, n) scores
-    at a time: one softmax over every head's scores was slower at 400
-    tokens, where its temporaries no longer fit in cache.
+    Each head's scores and context are batched products over frames, one
+    block of :func:`score_rows` query rows at a time.  A block holds whole
+    score rows, so every row takes the float operations of the untiled
+    n-by-n scores; BLAS may still round the last column of an odd-width
+    product in a block unlike in the whole, in the last bit.  Heads stay a
+    loop, so the softmax works on one head's block at a time: one softmax
+    over every head's scores was slower at 400 tokens, where its
+    temporaries no longer fit in cache.
     """
     stack = _frame_stack(tokens, "self-attention tokens")
     t, n, d = stack.shape
     if heads < 1 or d % heads != 0:
         raise ShapeError(f"head count {heads} must divide width {d}")
     dh = d // heads
+    b = score_rows(n)
     rows = stack.reshape(-1, d)
     # scaled as it is made, so no unscaled copy outlives the product
     q = scale(matmul(rows, wq), 1.0 / math.sqrt(dh)).reshape(t, n, d)
@@ -346,19 +379,22 @@ def softmax_attention(tokens, wq, wk, wv, heads):
     ctx = np.empty_like(stack)
     for h in range(heads):
         lo, hi = h * dh, (h + 1) * dh
-        scores = bmm(q[:, :, lo:hi], k[:, :, lo:hi].transpose(0, 2, 1))
-        meter_alloc("scores", scores.size)
-        if h == heads - 1:  # the last use of q and k
-            meter_free("q")
-            meter_free("k")
-            del q, k
-        # the softmax weights overwrite the scores
-        scores = softmax_rows(scores.reshape(-1, n)).reshape(t, n, n)
-        ctx[:, :, lo:hi] = bmm(scores, v[:, :, lo:hi])
-        if h == 0:  # charged once its first head is written
-            meter_alloc("ctx", ctx.size)
-        meter_free("scores")
-        del scores
+        kt = k[:, :, lo:hi].transpose(0, 2, 1)
+        for r in range(0, n, b):
+            scores = bmm(q[:, r:r + b, lo:hi], kt)
+            meter_alloc("scores", scores.size)
+            if h == heads - 1 and r + b >= n:  # the last use of q and k
+                meter_free("q")
+                meter_free("k")
+                del q, k, kt
+            # the softmax weights overwrite the scores
+            scores = softmax_rows(scores.reshape(-1, n)).reshape(
+                scores.shape)
+            ctx[:, r:r + b, lo:hi] = bmm(scores, v[:, :, lo:hi])
+            if h == r == 0:  # charged once its first block is written
+                meter_alloc("ctx", ctx.size)
+            meter_free("scores")
+            del scores
     meter_free("v")
     meter_free("ctx")
     return ctx.reshape(tokens.shape)

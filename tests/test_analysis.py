@@ -197,9 +197,14 @@ class TestMemoryEstimate:
         def quadratic(n):
             return analysis.estimate_memory(ATTENTION_SELF, n, d).elements \
                 - 3 * n * d
-        # past q, k and v the rest is one score matrix: doubling n
-        # quadruples it
-        assert quadratic(8192) == 4 * quadratic(4096)
+        # up to 512 tokens past q, k and v the rest is one score matrix:
+        # doubling n quadruples it
+        assert quadratic(512) == 4 * quadratic(256)
+        # above, the context and one block of 2**18 // n score rows:
+        # 4*n*d + 2**18 for n dividing 2**18, so doubling n doubles it
+        for n in (1024, 4096, 8192):
+            assert analysis.estimate_memory(ATTENTION_SELF, n, d).elements \
+                == 4 * n * d + 2 ** 18
 
     @pytest.mark.parametrize("kind", ATTENTION_KINDS)
     def test_instrumented_peaks_match_estimates(self, kind):
@@ -207,6 +212,24 @@ class TestMemoryEstimate:
             estimate = analysis.estimate_memory(kind, n, d).elements
             measured = analysis.measured_attention_elements(kind, n, d)
             assert measured == estimate, (kind, n, d)
+
+    @pytest.mark.parametrize("kind", ATTENTION_KINDS)
+    def test_instrumented_peaks_match_estimates_across_blocks(self, kind):
+        # self-attention's scores go from one block to two past n = 512
+        for n in (511, 512, 513, 600):
+            assert analysis.measured_attention_elements(kind, n, 8) \
+                == analysis.estimate_memory(kind, n, 8).elements, (kind, n)
+
+    def test_multi_head_self_attention_holds_its_context(self):
+        # the context joins q, k, v and the scores once a second head or
+        # block writes it; additive kinds ignore the head count
+        d = 64
+        for n in (5, 400, 513, 2048):
+            one = analysis.estimate_memory(ATTENTION_SELF, n, d).elements
+            four = analysis.estimate_memory(ATTENTION_SELF, n, d, 4).elements
+            assert four == one + (n * d if n <= 512 else 0), n
+            assert analysis.estimate_memory(ATTENTION_EAA, n, d, 4) \
+                == analysis.estimate_memory(ATTENTION_EAA, n, d)
 
     def test_invalid_arguments(self):
         with pytest.raises(ParamError):
@@ -247,17 +270,20 @@ class TestBench:
         def no_inputs(*args):
             raise AssertionError("inputs drawn for a refused size")
         monkeypatch.setattr(analysis, "_attention_instance", no_inputs)
-        # 272.7 M elements: 2.2 GB of f64 intermediates and instance
-        with pytest.raises(ConfigError, match="^self_attention at n=16384: "
-                           "2181136384 bytes in double precision, over the "
-                           "2 GiB limit$"):
-            analysis.bench_attention(ATTENTION_SELF, (16384,), d=64)
+        # n = 2**20 scores one row at a time: 4*n*64 + n intermediates and
+        # n*64 + 3*64*64 instance elements, 336.6 M, 2.7 GB of f64
+        with pytest.raises(ConfigError, match="^self_attention at "
+                           "n=1048576: 2692841472 bytes in double "
+                           "precision, over the 2 GiB limit$"):
+            analysis.bench_attention(ATTENTION_SELF, (2 ** 20,), d=64)
         # the sweep holds every size's instance at once: n=8 adds its
         # 8*64 inputs and 3*64*64 parameters, 102,400 bytes
-        with pytest.raises(ConfigError, match="^self_attention at n=16384: "
-                           "2181238784 bytes in double precision, over the "
-                           "2 GiB limit$"):
-            analysis.bench_attention(ATTENTION_SELF, (8, 16384), d=64)
+        with pytest.raises(ConfigError, match="^self_attention at "
+                           "n=1048576: 2692943872 bytes in double "
+                           "precision, over the 2 GiB limit$"):
+            analysis.bench_attention(ATTENTION_SELF, (8, 2 ** 20), d=64)
+        assert analysis.estimate_memory(ATTENTION_SELF, 2 ** 19, 64).elements \
+            * 8 <= INIT_SIZE_LIMIT
         assert analysis.estimate_memory(ATTENTION_SELF, 8192, 64).elements \
             * 8 <= INIT_SIZE_LIMIT
         assert analysis.estimate_memory(ATTENTION_MEAA, 32768, 64).elements \

@@ -12,7 +12,8 @@ from cuenet.instrument import MacCounter, MemoryMeter, counting, metering
 from cuenet.tensor import LnParams, layer_norm, mean_rows
 
 from util import (assert_close, eaa_oracle, matmul_oracle, meaa_oracle,
-                  mhsa_oracle, random_additive_params, random_mhsa_params)
+                  mhsa_oracle, random_additive_params, random_mhsa_params,
+                  softmax_attention_reference)
 
 
 class TestAttend:
@@ -443,6 +444,48 @@ class TestFrameStacks:
         assert [a.tobytes() for a in arrays] == before
 
 
+class TestScoreBlocks:
+    """Scores in blocks of query rows: the untiled kernel's work and bytes,
+    at the peak the schedule names."""
+
+    @pytest.mark.parametrize("dtype", (np.float64, np.float32))
+    @pytest.mark.parametrize("t", (1, 3))
+    @pytest.mark.parametrize("heads", (1, 4))
+    @pytest.mark.parametrize("n", (1, 7, 512, 513, 1000, 2048))
+    def test_matches_untiled_reference(self, n, heads, t, dtype):
+        d = 64
+        rng = np.random.default_rng([n, heads, t])
+        shape = (n, d) if t == 1 else (t, n, d)
+        x = rng.standard_normal(shape).astype(dtype)
+        w = [(rng.standard_normal((d, d)) / 8).astype(dtype)
+             for _ in range(3)]
+        counter, meter = MacCounter(), MemoryMeter()
+        with counting(counter), metering(meter):
+            got = attention.softmax_attention(x, *w, heads)
+        want = softmax_attention_reference(x, *w, heads)
+        assert got.shape == shape and got.dtype == dtype
+        if n % 2 and attention.score_rows(n) < n:
+            # BLAS rounds the last column of an odd-width product in edge
+            # kernels that depend on the rows one call holds, so a block's
+            # last score may differ from the untiled one in its last bit
+            assert_close(got, want, rel=16 * np.finfo(dtype).eps)
+        else:
+            assert got.tobytes() == want.tobytes()
+        # the flat kernel applies no output projection (n*d*d of the count)
+        kind = attention.ATTENTION_SELF
+        assert counter.total == t * (analysis.attention_macs(
+            kind, n, d, pooled=False) - n * d * d)
+        assert meter.live == 0
+        assert meter.high_water == t * analysis.estimate_memory(
+            kind, n, d, heads).elements
+
+    @pytest.mark.parametrize("n, rows", (
+        (1, 1), (512, 512), (513, 511), (1000, 262), (2048, 128),
+        (2 ** 18, 1), (2 ** 20, 1)))
+    def test_block_rows(self, n, rows):
+        assert attention.score_rows(n) == rows
+
+
 class TestBufferSchedules:
     def meter_for(self, run):
         meter = MemoryMeter()
@@ -523,8 +566,8 @@ class TestBufferSchedules:
 
     @pytest.mark.parametrize("kind, n, bound", (
         (attention.ATTENTION_SELF, 2048, 1.05),
-        (attention.ATTENTION_MEAA, 16384, 1.55),
-        (attention.ATTENTION_EAA, 16384, 1.40)))
+        (attention.ATTENTION_MEAA, 16384, 1.05),
+        (attention.ATTENTION_EAA, 16384, 1.05)))
     def test_measured_peak_tracks_schedule(self, kind, n, bound):
         # pooled f64 call at d=64: the bytes held at once, measured, stay
         # near the peak the schedule names; the second call is measured

@@ -53,10 +53,18 @@ def workdir(tmp_path_factory):
 # the global self-attention over 8 x 4097 tokens holds an 8.6 GB score
 # matrix.  2 frames of 4096x4096 are 805 MB, but each local self-attention
 # frame of the desk preset holds 65,537 tokens: a 34 GB score matrix.
+# Self-attention holds 4*t*n*d + t*b*n elements above 512 tokens, with
+# b = 2**18 // n score rows per block.  global: 8 x (64*64 + 1) = 32,776
+# tokens at d = 2048, b = 7: 268,730,424 elements, 2,149,843,392 bytes of
+# f64.  local0: 1 x (256*256 + 1) = 65,537 tokens at d = 1024, b = 3:
+# 268,636,163 elements, 2,149,089,304 bytes.  Every other stage and the
+# input stay under 2 GiB.
 OVERSIZED_ATTENTION = (
-    ("global.attn", dict(frames=16, height=1024, width=1024,
+    ("global.attn", dict(frames=16, height=1024, width=1024, hidden=2048,
+                         ffn_ratio=1, local_attention=("meaa", "meaa"),
                          global_attention="self_attention")),
-    ("local0.attn", dict(frames=2, height=4096, width=4096)))
+    ("local0.attn", dict(frames=2, height=4096, width=4096, hidden=1024,
+                         ffn_ratio=1)))
 
 
 def oversized_config(tmp_path, overrides):
@@ -284,13 +292,8 @@ class TestInfer:
     def test_oversized_attention_exits_3_before_reading(
             self, workdir, tmp_path, monkeypatch, capsys):
         # 402 MB of f64 input, but the global block's 8 x (64*64 + 1)
-        # tokens need an 8.6 GB self-attention score matrix
-        cfg = tmp_path / "wide.cfg"
-        cfg.write_text(serialize_config(desk_preset()).replace(
-            "frames=8", "frames=16").replace(
-            "height=32", "height=1024").replace(
-            "width=32", "width=1024").replace(
-            "global_attention=meaa", "global_attention=self_attention"))
+        # tokens at width 2048 need 2.15 GB of self-attention buffers
+        stage, overrides = OVERSIZED_ATTENTION[0]
 
         def fail(*args, **kwargs):
             raise AssertionError("called before the configuration was priced")
@@ -300,9 +303,11 @@ class TestInfer:
         code = cli.main(["infer", "--video", str(workdir / "clip.ctf"),
                          "--detections", str(workdir / "det.jsonl"),
                          "--weights", str(workdir / "desk.cwc"),
-                         "--config", str(cfg)])
+                         "--config", str(oversized_config(tmp_path,
+                                                          overrides))])
         assert code == 3
-        assert "global.attn intermediates" in capsys.readouterr().err
+        assert f"{stage} intermediates: 2149843392 bytes" \
+            in capsys.readouterr().err
 
     def test_oversized_local_attention_exits_3_before_reading(
             self, workdir, tmp_path, monkeypatch, capsys):
@@ -320,7 +325,7 @@ class TestInfer:
                                                           overrides))])
         assert code == 3
         err = capsys.readouterr().err
-        assert f"{stage} intermediates" in err
+        assert f"{stage} intermediates: 2149089304 bytes" in err
         assert "2 GiB limit" in err
 
     def test_oversized_ffn_exits_3_before_reading(

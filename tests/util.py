@@ -7,10 +7,11 @@ genuinely different computation routes.
 The ``*_reference`` functions are the earlier numpy formulations of kernels
 that now build their buffers and views by hand (``np.pad``,
 ``sliding_window_view``, ``x.mean``/``x.var``, a whole-clip resample with
-a per-axis weight broadcast), and of the token blocks as they were composed
-before the blocks shared one feed-forward unit and one spatial convolution.
-They do the same arithmetic in the same order, so the rewritten code must
-match them byte for byte, not only within a tolerance.
+a per-axis weight broadcast), of softmax attention over whole n-by-n
+score matrices before it worked in row blocks, and of the token blocks as
+they were composed before the blocks shared one feed-forward unit and one
+spatial convolution.  They do the same arithmetic in the same order, so the
+rewritten code must match them byte for byte, not only within a tolerance.
 """
 
 import math
@@ -244,6 +245,28 @@ def global_block_reference(x, grid, p, heads):
     normed = layer_norm_reference(pooled, p.ln_ffn.gamma, p.ln_ffn.beta)
     hidden = gelu(normed @ p.ffn.w1 + p.ffn.b1)
     return pooled + hidden @ p.ffn.w2 + p.ffn.b2
+
+
+def softmax_attention_reference(tokens, wq, wk, wv, heads):
+    """Multi-head softmax attention over each head's whole (t, n, n)
+    scores: the untiled form of ``attention.softmax_attention``."""
+    x = tokens.reshape((-1,) + tokens.shape[-2:])
+    t, n, d = x.shape
+    dh = d // heads
+    rows = x.reshape(-1, d)
+    q = ((rows @ wq) * x.dtype.type(1.0 / math.sqrt(dh))).reshape(t, n, d)
+    k = (rows @ wk).reshape(t, n, d)
+    v = (rows @ wv).reshape(t, n, d)
+    ctx = np.empty_like(x)
+    for h in range(heads):
+        lo, hi = h * dh, (h + 1) * dh
+        scores = (q[:, :, lo:hi] @ k[:, :, lo:hi].transpose(0, 2, 1)
+                  ).reshape(-1, n)
+        scores -= scores.max(axis=1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=1, keepdims=True)
+        ctx[:, :, lo:hi] = scores.reshape(t, n, n) @ v[:, :, lo:hi]
+    return ctx.reshape(tokens.shape)
 
 
 def meaa_oracle(q_normed, tokens, p, pooled=True):
