@@ -101,9 +101,9 @@ def count_flops(cfg):
 
     Preprocessing (crop and resize) is excluded: the model prices the
     network at its configured input geometry.  An attention stage over t
-    frames of n tokens peaks at t times :func:`estimate_memory` with the
-    configured head count; an FFN stage at its GELU output, one
-    ``ffn_hidden`` row per token.
+    frames of n tokens peaks at t times :func:`estimate_memory`, whatever
+    the head count; an FFN stage at its GELU output, one ``ffn_hidden`` row
+    per token.
     """
     d = cfg.hidden
     t2 = cfg.frames_out
@@ -115,7 +115,7 @@ def count_flops(cfg):
     peaks = {"input": cfg.frames * cfg.height * cfg.width * cfg.channels}
 
     def attention_peak(kind, t, n):
-        return t * estimate_memory(kind, n, d, cfg.heads).elements
+        return t * estimate_memory(kind, n, d).elements
 
     stages["backbone"] = (cfg.frames * cfg.grid_h * cfg.grid_w * d
                           * (TEMPORAL_KERNEL * PATCH * PATCH * cfg.channels))
@@ -205,30 +205,26 @@ class MemEstimate:
     elements: int
 
 
-def estimate_memory(kind, n, d, heads=1):
+def estimate_memory(kind, n, d):
     """Closed-form peak of the mechanism's buffer schedule, in elements.
 
     Inputs and parameters are excluded; the peaks cover the intermediates
     announced to the memory meter by the kernels over (n, d) tokens, pooled
-    or not.  ``heads`` applies to self-attention only.  Its softmax
-    normalizes the scores in place, b = :func:`cuenet.attention.score_rows`
-    query rows at a time, so past q, k and v it holds one (b, n) block of
-    scores, and beside them the n-by-d context once more than one head or
-    block writes it: 3*n*d + n*n for one head up to n = 512, and
-    4*n*d + b*n above.
+    or not, for any head count.  Self-attention normalizes its scores in
+    place, b = :func:`cuenet.attention.score_rows` query rows at a time, so
+    beside q, k, v and the context it holds one (b, n) block of scores:
+    4*n*d + b*n.
     """
-    if n < 1 or d < 1 or heads < 1:
-        raise ParamError(f"token count, width and heads must be positive, "
-                         f"got n={n}, d={d}, heads={heads}")
+    if n < 1 or d < 1:
+        raise ParamError(f"token count and width must be positive, "
+                         f"got n={n}, d={d}")
     check_kind(kind)
     if kind == ATTENTION_MEAA:
         elements = 2 * n * d + 2 * d
     elif kind == ATTENTION_EAA:
         elements = 3 * n * d + n + d
     else:
-        b = attention.score_rows(n)
-        context = heads > 1 or b < n
-        elements = (3 + context) * n * d + b * n
+        elements = 4 * n * d + attention.score_rows(n) * n
     return MemEstimate(kind=kind, n=n, d=d, elements=elements)
 
 

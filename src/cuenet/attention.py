@@ -29,19 +29,16 @@ under a fixed step schedule: a step's inputs stay live until its outputs
 exist, and a softmax normalizes its scores in place, so its weights are the
 scores buffer.  Self-attention scores b = :func:`score_rows` query rows at
 a time: all n rows up to n = 512, else about :data:`SCORE_BLOCK` / n.  The
-resulting high-water marks on (n, d) tokens, pooled and one head, in
-elements:
+resulting high-water marks on (n, d) tokens, pooled or not and for any
+head count, in elements:
 
-* meaa:                         2*n*d + 2*d
-* eaa_original:                 3*n*d + n + d
-* softmax_attention, n <= 512:  3*n*d + n*n
-* softmax_attention, n > 512:   4*n*d + b*n
+* meaa:               2*n*d + 2*d
+* eaa_original:       3*n*d + n + d
+* softmax_attention:  4*n*d + b*n
 
-A (t, n, d) stack holds t times as much.  Past one block of one head, the
-context is held beside q, k, v and one block of scores: 4*t*n*d + t*b*n,
-with b = n below 513 tokens.  Every kernel frees what it charged before it
-returns, its output included, so a meter around any call ends with zero
-live elements.
+A (t, n, d) stack holds t times as much.  Every kernel frees what it
+charged before it returns, its output included, so a meter around any call
+ends with zero live elements.
 
 Each buffer the schedule names is one allocation: bias and residual adds
 and the softmax run in place in it, and no kernel writes its inputs or
@@ -83,12 +80,14 @@ def check_kind(kind):
 
 @dataclass
 class MhsaParams:
-    """Projections for softmax self-attention: query, key, value, fuse."""
+    """Softmax self-attention: query, key, value and fuse projections, and
+    the number of heads that split the width."""
 
     wq: np.ndarray
     wk: np.ndarray
     wv: np.ndarray
     fuse: np.ndarray
+    heads: int
 
 
 @dataclass
@@ -115,19 +114,19 @@ class AdditiveParams:
 AttentionParams = Union[MhsaParams, AdditiveParams]
 
 
-def attend(kind, tokens, p, heads, pool):
+def attend(kind, tokens, p, pool):
     """Run the ``kind`` mechanism over (n, d) tokens or a (t, n, d) stack.
 
-    ``p`` is the kind's parameter group: :class:`MhsaParams` for
-    self-attention, :class:`AdditiveParams` otherwise.  ``heads`` applies to
-    self-attention only.  Returns rows of the input's shape, or with
-    ``pool`` (on (n, d) tokens) their (1, d) column mean, taken here after
-    an unpooled kernel call for every kind.
+    ``p`` is the kind's parameter group: :class:`MhsaParams`, head count
+    included, for self-attention, :class:`AdditiveParams` otherwise.
+    Returns rows of the input's shape, or with ``pool`` (on (n, d) tokens)
+    their (1, d) column mean, taken here after an unpooled kernel call for
+    every kind.
     """
     check_kind(kind)
     _frame_stack(tokens, "attention tokens", pool)
     if kind == ATTENTION_SELF:
-        rows = mhsa(tokens, p, heads)
+        rows = mhsa(tokens, p)
     elif kind == ATTENTION_MEAA:
         q_normed = layer_norm(p.q, p.q_ln.gamma, p.q_ln.beta)
         rows = meaa(q_normed, tokens, p, pool=False)
@@ -377,6 +376,7 @@ def softmax_attention(tokens, wq, wk, wv, heads):
     v = matmul(rows, wv).reshape(t, n, d)
     meter_alloc("v", v.size)
     ctx = np.empty_like(stack)
+    meter_alloc("ctx", ctx.size)
     for h in range(heads):
         lo, hi = h * dh, (h + 1) * dh
         kt = k[:, :, lo:hi].transpose(0, 2, 1)
@@ -391,8 +391,6 @@ def softmax_attention(tokens, wq, wk, wv, heads):
             scores = softmax_rows(scores.reshape(-1, n)).reshape(
                 scores.shape)
             ctx[:, r:r + b, lo:hi] = bmm(scores, v[:, :, lo:hi])
-            if h == r == 0:  # charged once its first block is written
-                meter_alloc("ctx", ctx.size)
             meter_free("scores")
             del scores
     meter_free("v")
@@ -400,9 +398,10 @@ def softmax_attention(tokens, wq, wk, wv, heads):
     return ctx.reshape(tokens.shape)
 
 
-def mhsa(tokens, p, heads):
-    """Multi-head softmax self-attention: :func:`softmax_attention` and the
-    ``fuse`` output projection, in the input's shape."""
-    ctx = softmax_attention(tokens, p.wq, p.wk, p.wv, heads)
+def mhsa(tokens, p):
+    """Multi-head softmax self-attention: :func:`softmax_attention` with
+    ``p.heads`` heads and the ``fuse`` output projection, in the input's
+    shape."""
+    ctx = softmax_attention(tokens, p.wq, p.wk, p.wv, p.heads)
     d = ctx.shape[-1]
     return matmul(ctx.reshape(-1, d), p.fuse).reshape(tokens.shape)

@@ -117,7 +117,7 @@ def lt_mhra(x, grid, p):
     return matmul(proj.reshape(-1, d), p.fuse).reshape(x.shape)
 
 
-def local_uniblock_forward(x, grid, p, heads, stage_prefix):
+def local_uniblock_forward(x, grid, p, stage_prefix):
     """Run one local block: three pre-normalized residual sub-units.
 
     Each sub-unit's work is counted under ``{stage_prefix}.lt|attn|ffn``.
@@ -127,7 +127,7 @@ def local_uniblock_forward(x, grid, p, heads, stage_prefix):
     with stage(f"{stage_prefix}.attn"):
         x = x + attention.attend(p.attn_kind,
                                  layer_norm(x, p.ln2.gamma, p.ln2.beta),
-                                 p.attn, heads, pool=False)
+                                 p.attn, pool=False)
     with stage(f"{stage_prefix}.ffn"):
         x = ffn(x, p.ln3, p.ffn)
     return x

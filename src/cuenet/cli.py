@@ -164,6 +164,8 @@ def cmd_infer(args):
         raise ConfigError(f"thread count must be at least 1, got "
                           f"{args.threads}")
     cfg = _load_config(args)
+    if cfg.num_classes != len(fusion.CLASS_LABELS):
+        raise ConfigError(f"infer labels two classes, not {cfg.num_classes}")
     analysis.count_flops(cfg).check_peaks("network input", cfg.precision)
     video, sequence = _read_clip(args)
     container = load_weights(args.weights, precision=cfg.precision,

@@ -56,7 +56,7 @@ def dpe(x, grid, kernel):
     return out
 
 
-def global_uniblock_forward(x, grid, p, heads):
+def global_uniblock_forward(x, grid, p):
     """Reduce a (frames, 1 + grid_h*grid_w, d) token array to one (1, d)
     clip vector.
 
@@ -70,8 +70,7 @@ def global_uniblock_forward(x, grid, p, heads):
         tokens = layer_norm(x.reshape(-1, x.shape[-1]), p.ln_tokens.gamma,
                             p.ln_tokens.beta)
         record_shape("global.tokens", tokens)
-        pooled = attention.attend(p.attn_kind, tokens, p.attn, heads,
-                                  pool=True)
+        pooled = attention.attend(p.attn_kind, tokens, p.attn, pool=True)
     record_shape("global.pooled", pooled)
     with stage("global.ffn"):
         refined = ffn(pooled, p.ln_ffn, p.ffn)

@@ -123,10 +123,9 @@ def network_forward(video, params, cfg):
         x = backbone_forward(video, params, cfg)
     record_shape("backbone", x)
     for i, block in enumerate(params.local_blocks):
-        x = local_uniblock_forward(x, grid, block, cfg.heads, f"local{i}")
+        x = local_uniblock_forward(x, grid, block, f"local{i}")
         record_shape(f"local{i}", x)
-    clip_vec = global_uniblock_forward(x, grid, params.global_block,
-                                       cfg.heads)
+    clip_vec = global_uniblock_forward(x, grid, params.global_block)
     with stage("fusion"):
         local_summary = fusion_ops.extract_class_token(x)
         fused = fusion_ops.fuse(clip_vec, local_summary, params.fusion.beta)

@@ -89,7 +89,8 @@ def layout(cfg, take):
     def attention_group(base, kind):
         if kind == ATTENTION_SELF:
             return MhsaParams(*[take(f"{base}.gs.{proj}", square, "uniform", d)
-                                for proj in ("wq", "wk", "wv", "fuse")])
+                                for proj in ("wq", "wk", "wv", "fuse")],
+                              heads=cfg.heads)
         prefix = f"{base}.attn"
         modified = kind == ATTENTION_MEAA
         return AdditiveParams(

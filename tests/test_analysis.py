@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from cuenet import analysis
+from cuenet import analysis, attention
 from cuenet.attention import ATTENTION_EAA, ATTENTION_KINDS, ATTENTION_MEAA, \
     ATTENTION_SELF
 from cuenet.config import desk_preset, paper_preset
 from cuenet.errors import ConfigError, ParamError, VerificationError
+from cuenet.instrument import MemoryMeter, metering
 from cuenet.weights import INIT_SIZE_LIMIT
 
 
@@ -95,12 +96,11 @@ class TestCountFlops:
         assert all(v >= 0 for v in report.stages.values())
 
     def test_desk_peaks(self):
-        # the input, then per attention stage t * estimate_memory, plus the
-        # 4-head self-attention's t*n*d context: 4 frames of 5 tokens, d=64;
-        # per FFN stage its GELU output, 256 wide for each token row
+        # the input, then per attention stage t * estimate_memory: 4 frames
+        # of 5 tokens, d=64; per FFN stage its GELU output, 256 wide for
+        # each token row
         report = analysis.count_flops(desk_preset())
-        local = 4 * (analysis.estimate_memory(ATTENTION_SELF, 5, 64).elements
-                     + 5 * 64)
+        local = 4 * analysis.estimate_memory(ATTENTION_SELF, 5, 64).elements
         assert local == 4 * 4 * 5 * 64 + 4 * 5 * 5
         assert list(report.peaks.items()) == [
             ("input", 8 * 32 * 32 * 3), ("local0.attn", local),
@@ -182,7 +182,7 @@ class TestMemoryEstimate:
         assert analysis.estimate_memory(ATTENTION_EAA, 20, 64).elements \
             == 3 * 20 * 64 + 20 + 64
         assert analysis.estimate_memory(ATTENTION_SELF, 20, 64).elements \
-            == 3 * 20 * 64 + 20 * 20
+            == 4 * 20 * 64 + 20 * 20
 
     def test_modified_kind_beats_original_for_multiple_tokens(self):
         for d in (4, 16, 64):
@@ -196,12 +196,12 @@ class TestMemoryEstimate:
         d = 64
         def quadratic(n):
             return analysis.estimate_memory(ATTENTION_SELF, n, d).elements \
-                - 3 * n * d
-        # up to 512 tokens past q, k and v the rest is one score matrix:
-        # doubling n quadruples it
+                - 4 * n * d
+        # up to 512 tokens past q, k, v and the context the rest is one
+        # score matrix: doubling n quadruples it
         assert quadratic(512) == 4 * quadratic(256)
-        # above, the context and one block of 2**18 // n score rows:
-        # 4*n*d + 2**18 for n dividing 2**18, so doubling n doubles it
+        # above, one block of 2**18 // n score rows: 4*n*d + 2**18 for n
+        # dividing 2**18, so doubling n doubles it
         for n in (1024, 4096, 8192):
             assert analysis.estimate_memory(ATTENTION_SELF, n, d).elements \
                 == 4 * n * d + 2 ** 18
@@ -221,15 +221,20 @@ class TestMemoryEstimate:
                 == analysis.estimate_memory(kind, n, 8).elements, (kind, n)
 
     def test_multi_head_self_attention_holds_its_context(self):
-        # the context joins q, k, v and the scores once a second head or
-        # block writes it; additive kinds ignore the head count
-        d = 64
-        for n in (5, 400, 513, 2048):
-            one = analysis.estimate_memory(ATTENTION_SELF, n, d).elements
-            four = analysis.estimate_memory(ATTENTION_SELF, n, d, 4).elements
-            assert four == one + (n * d if n <= 512 else 0), n
-            assert analysis.estimate_memory(ATTENTION_EAA, n, d, 4) \
-                == analysis.estimate_memory(ATTENTION_EAA, n, d)
+        # the context is charged where it is allocated, beside q, k and v,
+        # so one head or many peak at the one estimate, over one block of
+        # scores or several
+        rng = np.random.default_rng(146)
+        t, d = 2, 64
+        w = rng.standard_normal((3, d, d)) / 8
+        for n in (1, 5, 400, 512, 513, 2048):
+            x = rng.standard_normal((t, n, d))
+            for heads in (1, 2, 4):
+                meter = MemoryMeter()
+                with metering(meter):
+                    attention.softmax_attention(x, *w, heads)
+                assert meter.high_water == t * analysis.estimate_memory(
+                    ATTENTION_SELF, n, d).elements, (n, heads)
 
     def test_invalid_arguments(self):
         with pytest.raises(ParamError):

@@ -23,7 +23,7 @@ class TestAttend:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((n, d))
         if kind == attention.ATTENTION_SELF:
-            return x, random_mhsa_params(rng, d)
+            return x, random_mhsa_params(rng, d, 2)
         p = random_additive_params(rng, d,
                                    with_q=kind == attention.ATTENTION_MEAA)
         if kind == attention.ATTENTION_MEAA:
@@ -35,9 +35,9 @@ class TestAttend:
     @pytest.mark.parametrize("kind", attention.ATTENTION_KINDS)
     def test_matches_direct_kernel_call(self, kind, pool):
         x, p = self.instance(kind)
-        got = attention.attend(kind, x, p, heads=2, pool=pool)
+        got = attention.attend(kind, x, p, pool=pool)
         if kind == attention.ATTENTION_SELF:
-            rows = attention.mhsa(x, p, 2)
+            rows = attention.mhsa(x, p)
             want = mean_rows(rows) if pool else rows
         elif kind == attention.ATTENTION_MEAA:
             q_normed = layer_norm(p.q, p.q_ln.gamma, p.q_ln.beta)
@@ -56,16 +56,15 @@ class TestAttend:
         meter = MemoryMeter()
         with metering(meter):
             for _ in range(2):
-                attention.attend(kind, x, p, heads=2, pool=pool)
+                attention.attend(kind, x, p, pool=pool)
         assert meter.live == 0
-        multi_head = kind == attention.ATTENTION_SELF
         assert meter.high_water == analysis.estimate_memory(
-            kind, 5, 8).elements + multi_head * 5 * 8
+            kind, 5, 8).elements
 
     def test_unknown_kind_raises_config_error(self):
         x, p = self.instance(attention.ATTENTION_EAA)
         with pytest.raises(ConfigError):
-            attention.attend("windowed", x, p, heads=1, pool=True)
+            attention.attend("windowed", x, p, pool=True)
 
 
 class TestMeaa:
@@ -305,64 +304,64 @@ class TestMhsa:
         rng = np.random.default_rng(130)
         for heads in (1, 2, 4):
             d, n = 8, 6
-            params = random_mhsa_params(rng, d)
+            params = random_mhsa_params(rng, d, heads)
             x = rng.standard_normal((n, d))
-            assert_close(attention.mhsa(x, params, heads),
-                         mhsa_oracle(x, params, heads), rel=1e-12)
+            assert_close(attention.mhsa(x, params), mhsa_oracle(x, params),
+                         rel=1e-12)
 
     def test_single_token_passes_value_through(self):
         rng = np.random.default_rng(131)
         d = 6
-        params = random_mhsa_params(rng, d)
+        params = random_mhsa_params(rng, d, 2)
         x = rng.standard_normal((1, d))
-        got = attention.mhsa(x, params, heads=2)
+        got = attention.mhsa(x, params)
         want = matmul_oracle(matmul_oracle(x, params.wv), params.fuse)
         assert_close(got, want, rel=1e-12)
 
     def test_identical_tokens_give_identical_rows(self):
         rng = np.random.default_rng(132)
         d, n = 8, 5
-        params = random_mhsa_params(rng, d)
+        params = random_mhsa_params(rng, d, 2)
         x = np.repeat(rng.standard_normal((1, d)), n, axis=0)
-        out = attention.mhsa(x, params, heads=2)
+        out = attention.mhsa(x, params)
         for i in range(1, n):
             assert_close(out[i], out[0], rel=1e-14)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(133)
         d, n = 8, 7
-        params = random_mhsa_params(rng, d)
+        params = random_mhsa_params(rng, d, 4)
         x = rng.standard_normal((n, d))
         perm = rng.permutation(n)
-        base = attention.mhsa(x, params, heads=4)
-        shuffled = attention.mhsa(x[perm], params, heads=4)
+        base = attention.mhsa(x, params)
+        shuffled = attention.mhsa(x[perm], params)
         assert_close(shuffled, base[perm], rel=1e-12)
 
     def test_head_count_must_divide_width(self):
-        params = random_mhsa_params(np.random.default_rng(0), 6)
+        params = random_mhsa_params(np.random.default_rng(0), 6, 4)
         with pytest.raises(ShapeError):
-            attention.mhsa(np.zeros((2, 6)), params, heads=4)
+            attention.mhsa(np.zeros((2, 6)), params)
 
     def test_work_count_closed_form(self):
         rng = np.random.default_rng(134)
         for heads in (1, 2, 4):
             n, d = 10, 8
-            params = random_mhsa_params(rng, d)
+            params = random_mhsa_params(rng, d, heads)
             counter = MacCounter()
             with counting(counter):
-                attention.mhsa(rng.standard_normal((n, d)), params, heads)
+                attention.mhsa(rng.standard_normal((n, d)), params)
             # head-count independent
             assert counter.total == 4 * n * d * d + n * d + 2 * n * n * d
 
     def test_pooled_adds_mean_cost(self):
         rng = np.random.default_rng(135)
         n, d = 6, 8
-        params = random_mhsa_params(rng, d)
+        params = random_mhsa_params(rng, d, 2)
         counter = MacCounter()
         with counting(counter):
             out = attention.attend(attention.ATTENTION_SELF,
                                    rng.standard_normal((n, d)), params,
-                                   heads=2, pool=True)
+                                   pool=True)
         assert out.shape == (1, d)
         assert counter.total == 4 * n * d * d + n * d + 2 * n * n * d + d
 
@@ -378,7 +377,7 @@ class TestFrameStacks:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((t, n, d))
         if kind == attention.ATTENTION_SELF:
-            return x, random_mhsa_params(rng, d)
+            return x, random_mhsa_params(rng, d, 2)
         p = random_additive_params(rng, d,
                                    with_q=kind == attention.ATTENTION_MEAA)
         if kind == attention.ATTENTION_MEAA:
@@ -388,7 +387,7 @@ class TestFrameStacks:
 
     @staticmethod
     def mix(kind, tokens, p, pool=False):
-        return attention.attend(kind, tokens, p, heads=2, pool=pool)
+        return attention.attend(kind, tokens, p, pool=pool)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_stack_equals_per_frame_calls(self, kind):
@@ -434,7 +433,7 @@ class TestFrameStacks:
             value = getattr(p, field.name)
             if isinstance(value, LnParams):
                 arrays += [value.gamma, value.beta]
-            elif value is not None:
+            elif isinstance(value, np.ndarray):
                 arrays.append(value)
         before = [a.tobytes() for a in arrays]
         if kind == attention.ATTENTION_MEAA:
@@ -477,7 +476,7 @@ class TestScoreBlocks:
             kind, n, d, pooled=False) - n * d * d)
         assert meter.live == 0
         assert meter.high_water == t * analysis.estimate_memory(
-            kind, n, d, heads).elements
+            kind, n, d).elements
 
     @pytest.mark.parametrize("n, rows", (
         (1, 1), (512, 512), (513, 511), (1000, 262), (2048, 128),
@@ -518,7 +517,7 @@ class TestBufferSchedules:
             meter = self.meter_for(
                 lambda: attention.softmax_attention(
                     rng.standard_normal((n, d)), wq, wk, wv, 1))
-            assert meter.high_water == 3 * n * d + n * n
+            assert meter.high_water == 4 * n * d + n * n
 
     @pytest.mark.parametrize("shape, heads, peak", (
         ((3, 5, 8), 4, 555), ((1, 400, 64), 4, 262_400)))
@@ -539,32 +538,35 @@ class TestBufferSchedules:
     @pytest.mark.parametrize("kind", attention.ATTENTION_KINDS)
     def test_every_call_ends_with_nothing_live(self, kind, pool, shape):
         # a direct kernel call and attend peak at t frames of the schedule,
-        # plus the 2-head context, and free all of it before they return
+        # with one head or two, and free all of it before they return
         rng = np.random.default_rng(143)
         x = rng.standard_normal(shape)
         *frames, n, d = shape
+        calls = []
         if kind == attention.ATTENTION_SELF:
-            p = random_mhsa_params(rng, d)
-            direct = lambda: attention.softmax_attention(x, p.wq, p.wk,
-                                                         p.wv, 2)
+            for heads in (1, 2):
+                p = random_mhsa_params(rng, d, heads)
+                calls.append((p, lambda p=p: attention.softmax_attention(
+                    x, p.wq, p.wk, p.wv, p.heads)))
         elif kind == attention.ATTENTION_MEAA:
             p = random_additive_params(rng, d, with_q=True)
             p.q_ln = LnParams(gamma=np.ones(d), beta=np.zeros(d))
             q_normed = layer_norm(p.q, p.q_ln.gamma, p.q_ln.beta)
-            direct = lambda: attention.meaa(q_normed, x, p, pool)
+            calls.append((p, lambda: attention.meaa(q_normed, x, p, pool)))
         else:
             p = random_additive_params(rng, d, with_q=False)
-            direct = lambda: attention.eaa_original(x, p, pool)
-        context = (kind == attention.ATTENTION_SELF) * n * d
-        peak = int(np.prod(frames)) * (
-            analysis.estimate_memory(kind, n, d).elements + context)
-        for run in (direct, lambda: attention.attend(kind, x, p, heads=2,
-                                                     pool=pool)):
-            meter = self.meter_for(run)
-            assert meter.live == 0
-            assert meter.high_water == peak
+            calls.append((p, lambda: attention.eaa_original(x, p, pool)))
+        peak = int(np.prod(frames)) * analysis.estimate_memory(
+            kind, n, d).elements
+        for p, direct in calls:
+            for run in (direct, lambda: attention.attend(kind, x, p,
+                                                         pool=pool)):
+                meter = self.meter_for(run)
+                assert meter.live == 0
+                assert meter.high_water == peak
 
     @pytest.mark.parametrize("kind, n, bound", (
+        (attention.ATTENTION_SELF, 400, 1.05),
         (attention.ATTENTION_SELF, 2048, 1.05),
         (attention.ATTENTION_MEAA, 16384, 1.05),
         (attention.ATTENTION_EAA, 16384, 1.05)))

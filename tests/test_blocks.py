@@ -45,7 +45,7 @@ def random_ffn(rng, d, hidden, dtype=np.float64):
 def random_attention(rng, d, kind, dtype=np.float64):
     """Seeded parameter group for one attention kind."""
     if kind == ATTENTION_SELF:
-        return random_mhsa_params(rng, d, dtype)
+        return random_mhsa_params(rng, d, 2, dtype)
     p = random_additive_params(rng, d, with_q=kind == ATTENTION_MEAA,
                                dtype=dtype)
     if kind == ATTENTION_MEAA:
@@ -165,21 +165,21 @@ class TestGsMhra:
 
     def test_matches_per_frame_oracle(self):
         rng = np.random.default_rng(20)
-        d, heads = 8, 2
+        d = 8
         x, _ = random_tokens(rng, frames=3, d=d)
-        p = random_mhsa_params(rng, d)
-        out = attention.attend(ATTENTION_SELF, x, p, heads, pool=False)
+        p = random_mhsa_params(rng, d, 2)
+        out = attention.attend(ATTENTION_SELF, x, p, pool=False)
         for t in range(x.shape[0]):
-            assert_close(out[t], mhsa_oracle(x[t], p, heads), rel=1e-12)
+            assert_close(out[t], mhsa_oracle(x[t], p), rel=1e-12)
 
     def test_frames_do_not_interact(self):
         rng = np.random.default_rng(21)
         x, _ = random_tokens(rng, frames=3, d=8)
-        p = random_mhsa_params(rng, 8)
-        base = attention.attend(ATTENTION_SELF, x, p, 2, pool=False)
+        p = random_mhsa_params(rng, 8, 2)
+        base = attention.attend(ATTENTION_SELF, x, p, pool=False)
         bumped = x.copy()
         bumped[1] += 10.0
-        redone = attention.attend(ATTENTION_SELF, bumped, p, 2, pool=False)
+        redone = attention.attend(ATTENTION_SELF, bumped, p, pool=False)
         assert np.array_equal(redone[0], base[0])
         assert np.array_equal(redone[2], base[2])
         assert not np.allclose(redone[1], base[1])
@@ -188,7 +188,7 @@ class TestGsMhra:
         rng = np.random.default_rng(22)
         x, _ = random_tokens(rng, d=6)
         with pytest.raises(ShapeError):
-            attention.attend(ATTENTION_SELF, x, random_mhsa_params(rng, 6), 4,
+            attention.attend(ATTENTION_SELF, x, random_mhsa_params(rng, 6, 4),
                              pool=False)
 
 
@@ -199,7 +199,7 @@ class TestAdditiveMixer:
         x, _ = random_tokens(rng, frames=3, d=d)
         p = random_additive_params(rng, d, with_q=True)
         p.q_ln = q_ln = random_ln(rng, d)
-        out = attention.attend(ATTENTION_MEAA, x, p, 1, pool=False)
+        out = attention.attend(ATTENTION_MEAA, x, p, pool=False)
         q_normed = layer_norm(p.q, q_ln.gamma, q_ln.beta)
         for t in range(x.shape[0]):
             assert_close(out[t], meaa_oracle(q_normed, x[t], p, pooled=False),
@@ -210,7 +210,7 @@ class TestAdditiveMixer:
         d = 6
         x, _ = random_tokens(rng, frames=2, d=d)
         p = random_additive_params(rng, d, with_q=False)
-        out = attention.attend(ATTENTION_EAA, x, p, 1, pool=False)
+        out = attention.attend(ATTENTION_EAA, x, p, pool=False)
         for t in range(x.shape[0]):
             assert_close(out[t], eaa_oracle(x[t], p, pooled=False),
                          rel=1e-12)
@@ -265,14 +265,14 @@ class TestLocalBlock:
     def test_matches_manual_staging(self, kind):
         # byte for byte against the block as composed from separately
         # normalized sub-units, in both precisions
-        d, heads = 8, 2
+        d = 8
         for dtype in (np.float64, np.float32):
             rng = np.random.default_rng(50)
             x, grid = random_tokens(rng, frames=4, d=d)
             x = x.astype(dtype)
             p = random_block(rng, d, kind, dtype=dtype)
-            got = blocks.local_uniblock_forward(x, grid, p, heads, "local0")
-            want = local_block_reference(x, grid, p, heads)
+            got = blocks.local_uniblock_forward(x, grid, p, "local0")
+            want = local_block_reference(x, grid, p)
             assert got.dtype == want.dtype == dtype
             assert got.tobytes() == want.tobytes()
 
@@ -287,7 +287,7 @@ class TestLocalBlock:
         p.attn.fuse[:] = 0.0
         p.ffn.w2[:] = 0.0
         p.ffn.b2[:] = 0.0
-        out = blocks.local_uniblock_forward(x, grid, p, 2, "local0")
+        out = blocks.local_uniblock_forward(x, grid, p, "local0")
         assert np.array_equal(out, x)
 
     def test_stage_attribution(self):
@@ -297,7 +297,7 @@ class TestLocalBlock:
         p = random_block(rng, d, ATTENTION_SELF)
         counter = MacCounter()
         with counting(counter):
-            blocks.local_uniblock_forward(x, (gh, gw), p, 2, "local0")
+            blocks.local_uniblock_forward(x, (gh, gw), p, "local0")
         assert set(counter.stages) == {"local0.lt", "local0.attn",
                                        "local0.ffn"}
         assert counter.stages.get(UNATTRIBUTED, 0) == 0

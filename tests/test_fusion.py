@@ -88,15 +88,15 @@ class TestGlobalBlock:
         # byte for byte against the earlier composition, in both
         # precisions; that composition adds the feed-forward bias after the
         # residual, which gives the same bytes only for a zero bias
-        d, heads = 8, 2
+        d = 8
         for dtype in (np.float64, np.float32):
             rng = np.random.default_rng(80)
             x, grid = random_tokens(rng, frames=3, d=d)
             x = x.astype(dtype)
             p = random_global(rng, d, kind, dtype=dtype)
             p.ffn.b2[:] = 0.0
-            got = global_block.global_uniblock_forward(x, grid, p, heads)
-            want = global_block_reference(x, grid, p, heads)
+            got = global_block.global_uniblock_forward(x, grid, p)
+            want = global_block_reference(x, grid, p)
             assert got.shape == (1, d)
             assert got.dtype == want.dtype == dtype
             assert got.tobytes() == want.tobytes()
@@ -112,17 +112,17 @@ class TestGlobalBlock:
         p.attn.b2[:] = 0.0
         p.ffn.w2[:] = 0.0
         p.ffn.b2[:] = 0.0
-        out = global_block.global_uniblock_forward(x, grid, p, heads=2)
+        out = global_block.global_uniblock_forward(x, grid, p)
         assert np.all(out == 0.0)
 
     def test_stage_attribution_and_counts(self):
         rng = np.random.default_rng(82)
-        d, heads = 8, 2
+        d = 8
         x, (gh, gw) = random_tokens(rng, frames=3, gh=2, gw=2, d=d)
         p = random_global(rng, d, ATTENTION_SELF)
         counter = MacCounter()
         with counting(counter):
-            global_block.global_uniblock_forward(x, (gh, gw), p, heads)
+            global_block.global_uniblock_forward(x, (gh, gw), p)
         assert set(counter.stages) == {"global.dpe", "global.attn",
                                        "global.ffn"}
         assert counter.stages.get(UNATTRIBUTED, 0) == 0
@@ -141,7 +141,7 @@ class TestGlobalBlock:
         p = random_global(rng, d, ATTENTION_MEAA)
         trace = {}
         with tracing(trace):
-            global_block.global_uniblock_forward(x, grid, p, heads=2)
+            global_block.global_uniblock_forward(x, grid, p)
         assert trace == {"global.dpe": (3, 5, d),
                          "global.tokens": (15, d),
                          "global.pooled": (1, d),

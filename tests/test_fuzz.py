@@ -5,8 +5,9 @@ the package, so every malformed byte string must surface as ``FormatError``
 (or ``ConfigError`` for a precision request the container cannot meet),
 and the ``crop`` command must exit 0 or 2 on any detection text.  A
 configuration file with any value in any key raises only ``ConfigError``.
-``infer`` on extreme but finite weights and clips exits with a documented
-code and prints nothing but its result or its error line.
+``infer`` on extreme but finite weights and clips, on any configuration
+file, and on weight files that mix or mislabel precisions exits with a
+documented code and prints nothing but its result or its error line.
 """
 
 import dataclasses
@@ -16,13 +17,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cuenet import cli, ctf, weights
 from cuenet.config import desk_preset, parse_config, serialize_config
 from cuenet.crop import parse_detections
 from cuenet.errors import ConfigError, FormatError
+from cuenet.tensor import dtype_of, precision_of
 
 DOCUMENTED = (FormatError, ConfigError)
 FUZZ = settings(max_examples=200, deadline=None)
@@ -202,6 +204,12 @@ def test_infer_exits_cleanly_on_extreme_values(infer_weights, tmp_path,
                          "--detections", str(detections),
                          "--weights", str(infer_weights[precision, scale]),
                          "--precision", flag])
+    assert_clean_exit(code, capsys)
+
+
+def assert_clean_exit(code, capsys):
+    """A documented exit code, and either the result document alone or
+    one error line on stderr; no traceback or warning."""
     out, err = capsys.readouterr()
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err
@@ -212,3 +220,94 @@ def test_infer_exits_cleanly_on_extreme_values(infer_weights, tmp_path,
     else:
         assert out == ""
         assert err.startswith("error: ")
+
+
+# every valid configuration these values make stays desk-sized, at most 48
+# frames, pixels, channels or widths, so each run takes milliseconds
+infer_config_values = st.one_of(
+    st.sampled_from(("0", "-1", "1", "2", "3", "4", "6", "8", "16", "32",
+                     "48", "0.5", "4.0", "nan", "inf", "1e400", "9" * 400,
+                     "meaa", "eaa_original", "self_attention",
+                     "meaa,self_attention", "single", "double", "")),
+    st.text(max_size=6))
+
+
+def _flag_each_entry(data, entries):
+    """Rewrite a container's manifest so each entry's precision flag names
+    the dtype of that entry's payload."""
+    data = bytearray(data)
+    pos = 9
+    for array in entries.values():
+        (name_len,) = struct.unpack_from("<H", data, pos)
+        pos += 2 + name_len + 1 + 4 * array.ndim
+        data[pos] = ctf.FLAG_OF[precision_of(array)]
+        pos += 9
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def mixed_weights(tmp_path_factory):
+    """Desk weights with every other entry in single precision: flagged
+    entry by entry ("mixed"), and all flagged double ("mislabelled")."""
+    root = tmp_path_factory.mktemp("mixed")
+    base = weights.init_weights(desk_preset())
+    entries = {name: array.astype(np.float32) if i % 2 else array
+               for i, (name, array) in enumerate(base.entries.items())}
+    data = weights.container_bytes(dataclasses.replace(base,
+                                                       entries=entries))
+    paths = {"mislabelled": root / "mislabelled.cwc",
+             "mixed": root / "mixed.cwc"}
+    paths["mislabelled"].write_bytes(data)
+    paths["mixed"].write_bytes(_flag_each_entry(data, entries))
+    return paths
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.dictionaries(st.sampled_from(_CONFIG_KEYS), infer_config_values,
+                       max_size=3),
+       st.sampled_from(("config", "double", "single", "mixed",
+                        "mislabelled")),
+       st.sampled_from((None, "f32", "f64")))
+@example({"num_classes": "1"}, "config", None)
+@example({"num_classes": "3"}, "config", None)
+def test_infer_exits_cleanly_on_any_config_and_weights(
+        infer_weights, mixed_weights, tmp_path, capsys, values, source,
+        flag):
+    # the clip, and with source "config" the weights, follow the
+    # configuration when it parses, so valid ones reach the network
+    config = tmp_path / "model.cfg"
+    config.write_text(_config_text(values))
+    try:
+        cfg = parse_config(config.read_text())
+    except ConfigError:
+        cfg = desk_preset()
+    if flag is not None:
+        cfg = dataclasses.replace(
+            cfg, precision={"f32": "single", "f64": "double"}[flag])
+    path = tmp_path / "model.cwc"
+    if source == "config":
+        try:
+            weights.save_weights(weights.init_weights(cfg), path)
+        except ConfigError:
+            path = infer_weights["double", "one"]
+    elif source in mixed_weights:
+        path = mixed_weights[source]
+    else:
+        path = infer_weights[source, "one"]
+    clip = tmp_path / "clip.ctf"
+    rng = np.random.default_rng(len(values))
+    ctf.write_tensor(clip, rng.standard_normal(
+        (cfg.frames, 24, 40, cfg.channels)).astype(dtype_of(cfg.precision)))
+    detections = tmp_path / "det.jsonl"
+    detections.write_text("".join(
+        json.dumps({"frame": t, "boxes": [[0, 0, 40, 24]]}) + "\n"
+        for t in range(cfg.frames)))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["infer", "--video", str(clip),
+                         "--detections", str(detections),
+                         "--weights", str(path), "--config", str(config)]
+                        + (["--precision", flag] if flag else []))
+    assert_clean_exit(code, capsys)

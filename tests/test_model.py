@@ -278,9 +278,8 @@ class TestNetworkForward:
         grid = (cfg.grid_h, cfg.grid_w)
         x = model.backbone_forward(video, params, cfg)
         for i, block in enumerate(params.local_blocks):
-            x = local_uniblock_forward(x, grid, block, cfg.heads, f"local{i}")
-        clip_vec = global_uniblock_forward(x, grid, params.global_block,
-                                           cfg.heads)
+            x = local_uniblock_forward(x, grid, block, f"local{i}")
+        clip_vec = global_uniblock_forward(x, grid, params.global_block)
         summary = fusion_ops.extract_class_token(x)
         fused = fusion_ops.fuse(clip_vec, summary, params.fusion.beta)
         want = fusion_ops.classify(fused, params.fusion)

@@ -205,7 +205,7 @@ def dpe_reference(x, grid, kernel):
     return out
 
 
-def local_block_reference(x, grid, p, heads):
+def local_block_reference(x, grid, p):
     """``blocks.local_uniblock_forward`` as three separate sub-units, each
     computed from its own normalized copy and then added to the residual
     stream: the temporal affinity on a copy of the value projection, the
@@ -224,13 +224,13 @@ def local_block_reference(x, grid, p, heads):
     mixed[:, 1:, :] = dwconv3d_reference(volume, p.lt.kernel).reshape(
         t, gh * gw, d)
     x = x + (mixed.reshape(-1, d) @ p.lt.fuse).reshape(x.shape)
-    x = x + attention.attend(p.attn_kind, normed(x, p.ln2), p.attn, heads,
+    x = x + attention.attend(p.attn_kind, normed(x, p.ln2), p.attn,
                              pool=False)
     hidden = gelu(normed(x, p.ln3).reshape(-1, d) @ p.ffn.w1 + p.ffn.b1)
     return x + (hidden @ p.ffn.w2 + p.ffn.b2).reshape(x.shape)
 
 
-def global_block_reference(x, grid, p, heads):
+def global_block_reference(x, grid, p):
     """``global_block.global_uniblock_forward`` on :func:`dpe_reference`,
     with the feed-forward output bias added after the residual:
     ``pooled + hidden @ w2 + b2``.  With ``b2 = 0`` that order gives the
@@ -241,7 +241,7 @@ def global_block_reference(x, grid, p, heads):
     x = dpe_reference(x, grid, p.dpe_kernel)
     tokens = layer_norm_reference(x.reshape(-1, d), p.ln_tokens.gamma,
                                   p.ln_tokens.beta)
-    pooled = attention.attend(p.attn_kind, tokens, p.attn, heads, pool=True)
+    pooled = attention.attend(p.attn_kind, tokens, p.attn, pool=True)
     normed = layer_norm_reference(pooled, p.ln_ffn.gamma, p.ln_ffn.beta)
     hidden = gelu(normed @ p.ffn.w1 + p.ffn.b1)
     return pooled + hidden @ p.ffn.w2 + p.ffn.b2
@@ -353,10 +353,11 @@ def eaa_oracle(tokens, p, pooled=True, force_uniform_weights=False):
                       for j in range(d)]])
 
 
-def mhsa_oracle(tokens, p, heads):
+def mhsa_oracle(tokens, p):
     """Loop reference for multi-head softmax self-attention."""
     x = np.asarray(tokens)
     n, d = x.shape
+    heads = p.heads
     dh = d // heads
     q = matmul_oracle(x, p.wq) / math.sqrt(dh)
     k = matmul_oracle(x, p.wk)
@@ -384,8 +385,8 @@ def random_additive_params(rng, d, with_q, dtype=np.float64):
         w2=draw((d, d)), b2=draw((d,)))
 
 
-def random_mhsa_params(rng, d, dtype=np.float64):
+def random_mhsa_params(rng, d, heads, dtype=np.float64):
     from cuenet.attention import MhsaParams
     draw = lambda shape: rng.standard_normal(shape).astype(dtype)
     return MhsaParams(wq=draw((d, d)), wk=draw((d, d)), wv=draw((d, d)),
-                      fuse=draw((d, d)))
+                      fuse=draw((d, d)), heads=heads)
