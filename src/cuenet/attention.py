@@ -14,14 +14,17 @@ Three interchangeable mechanisms, named by the ``ATTENTION_*`` kinds:
   and the softmax disappears entirely.  Also linear in n, with one fewer
   n-by-d projection and no n-vector of scores.
 
-:func:`attend` is the one place a kernel is chosen by kind.  Every kernel
-and :func:`attend` take (n, d) tokens or a (t, n, d) stack of t frames and
-return rows of the same shape, each frame attending only within itself;
-with ``pool`` they take (n, d) tokens and return the (1, d) column mean of
-the rows.  A stack's per-token projections run once over all t*n rows and
-its per-frame products, the modified form's token-free query path included,
-are one :func:`cuenet.tensor.bmm` over frames: exactly t times the work of
-one frame and the same values as t separate calls.
+:func:`attend` chooses a kernel by parameter group: each kind binds to its
+own group, :class:`MhsaParams`, :class:`MeaaParams` or
+:class:`AdditiveParams`, so the group's type is the one statement of which
+mechanism runs.  Every kernel and :func:`attend` take (n, d) tokens or a
+(t, n, d) stack of t frames and return rows of the same shape, each frame
+attending only within itself; the additive kernels with ``pool`` take
+(n, d) tokens and return the (1, d) column mean of the rows.  A stack's
+per-token projections run once over all t*n rows and its per-frame
+products, the modified form's token-free query path included, are one
+:func:`cuenet.tensor.bmm` over frames: exactly t times the work of one
+frame and the same values as t separate calls.
 
 The additive kernels and :func:`softmax_attention` announce intermediate
 buffer lifetimes to the active memory meter (see :mod:`cuenet.instrument`)
@@ -52,7 +55,7 @@ Gradients for the modified form are provided analytically in
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -92,15 +95,11 @@ class MhsaParams:
 
 @dataclass
 class AdditiveParams:
-    """Parameters for the additive mechanisms.
+    """Parameters of the original matrix-query additive form, and the part
+    both additive kernels read: ``wq, wk`` the query and key projections,
+    ``w_a`` the score weights, ``w1, b1, w2, b2`` the two output
+    projections."""
 
-    ``q`` is the learnable query vector of the modified form and ``q_ln``
-    the normalization :func:`attend` applies to it; both are unused (may be
-    None) for the original matrix-query form.  ``w_a`` holds the score
-    weights; ``w1, b1, w2, b2`` the two output projections.
-    """
-
-    q: np.ndarray
     wq: np.ndarray
     wk: np.ndarray
     w_a: np.ndarray
@@ -108,31 +107,39 @@ class AdditiveParams:
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-    q_ln: Optional[LnParams] = None
 
 
-AttentionParams = Union[MhsaParams, AdditiveParams]
+@dataclass
+class MeaaParams(AdditiveParams):
+    """Parameters of the modified form: the additive group plus the
+    learnable query vector ``q`` and the normalization ``q_ln`` that
+    :func:`attend` applies to it."""
+
+    q: np.ndarray
+    q_ln: LnParams
 
 
-def attend(kind, tokens, p, pool):
-    """Run the ``kind`` mechanism over (n, d) tokens or a (t, n, d) stack.
+AttentionParams = Union[MhsaParams, MeaaParams, AdditiveParams]
 
-    ``p`` is the kind's parameter group: :class:`MhsaParams`, head count
-    included, for self-attention, :class:`AdditiveParams` otherwise.
-    Returns rows of the input's shape, or with ``pool`` (on (n, d) tokens)
-    their (1, d) column mean, taken here after an unpooled kernel call for
-    every kind.
+
+def attend(tokens, p):
+    """Run the mechanism that the parameter group ``p`` names over (n, d)
+    tokens or a (t, n, d) stack, and return rows of the input's shape.
+
+    :class:`MhsaParams`, head count included, run :func:`mhsa`;
+    :class:`MeaaParams` run :func:`meaa` on the normalized query; plain
+    :class:`AdditiveParams` run :func:`eaa_original`.  Any other ``p``
+    raises ``ConfigError``.
     """
-    check_kind(kind)
-    _frame_stack(tokens, "attention tokens", pool)
-    if kind == ATTENTION_SELF:
-        rows = mhsa(tokens, p)
-    elif kind == ATTENTION_MEAA:
+    if isinstance(p, MhsaParams):
+        return mhsa(tokens, p)
+    if isinstance(p, MeaaParams):
         q_normed = layer_norm(p.q, p.q_ln.gamma, p.q_ln.beta)
-        rows = meaa(q_normed, tokens, p, pool=False)
-    else:
-        rows = eaa_original(tokens, p, pool=False)
-    return mean_rows(rows) if pool else rows
+        return meaa(q_normed, tokens, p, pool=False)
+    if isinstance(p, AdditiveParams):
+        return eaa_original(tokens, p, pool=False)
+    raise ConfigError(f"no attention mechanism takes parameters of type "
+                      f"{type(p).__name__}")
 
 
 def _frame_stack(x, name, pool=False):

@@ -9,9 +9,10 @@ normalization:
 1. temporal affinity: a shared value projection, a depthwise temporal
    convolution over the spatial grid (class tokens pass through), and a
    fusing projection;
-2. a per-frame token mixer: the block's attention kind, run by one
-   row-preserving :func:`cuenet.attention.attend` call on the whole
-   (frames, tokens, hidden) stack, batched over the frame axis;
+2. a per-frame token mixer: the mechanism the block's attention
+   parameters name, run by one row-preserving
+   :func:`cuenet.attention.attend` call on the whole (frames, tokens,
+   hidden) stack, batched over the frame axis;
 3. :func:`ffn`, a two-layer feed-forward unit with a GELU: exact erf in
    double precision, a rational erf (max error 4.5e-7) in single.
 
@@ -55,19 +56,15 @@ class FfnParams:
 class LocalBlockParams:
     """One local block: three normalizations and their sub-units.
 
-    ``attn`` is the parameter group of the ``attn_kind`` mechanism.
+    ``attn``'s type names the block's attention mechanism.
     """
 
     ln1: LnParams
     lt: LtParams
     ln2: LnParams
-    attn_kind: str
     attn: attention.AttentionParams
     ln3: LnParams
     ffn: FfnParams
-
-    def __post_init__(self):
-        attention.check_kind(self.attn_kind)
 
 
 def spatial_dwconv(x, grid, kernel):
@@ -125,9 +122,8 @@ def local_uniblock_forward(x, grid, p, stage_prefix):
     with stage(f"{stage_prefix}.lt"):
         x = x + lt_mhra(layer_norm(x, p.ln1.gamma, p.ln1.beta), grid, p.lt)
     with stage(f"{stage_prefix}.attn"):
-        x = x + attention.attend(p.attn_kind,
-                                 layer_norm(x, p.ln2.gamma, p.ln2.beta),
-                                 p.attn, pool=False)
+        x = x + attention.attend(layer_norm(x, p.ln2.gamma, p.ln2.beta),
+                                 p.attn)
     with stage(f"{stage_prefix}.ffn"):
         x = ffn(x, p.ln3, p.ffn)
     return x

@@ -13,9 +13,10 @@ token sequence and reduces it to a single clip vector:
 3. the local blocks' residual feed-forward, :func:`cuenet.blocks.ffn`,
    refines the pooled vector.
 
-The attention step runs the block's kind through
-:func:`cuenet.attention.attend`: softmax self-attention (quadratic in token
-count) or one of the two additive mechanisms (linear in token count).
+The attention step runs the mechanism its parameters name through
+:func:`cuenet.attention.attend` and takes the rows' mean: softmax
+self-attention (quadratic in token count) or one of the two additive
+mechanisms (linear in token count).
 """
 
 from dataclasses import dataclass
@@ -25,25 +26,21 @@ import numpy as np
 from . import attention
 from .blocks import FfnParams, ffn, spatial_dwconv
 from .instrument import record_shape, stage
-from .tensor import LnParams, layer_norm
+from .tensor import LnParams, layer_norm, mean_rows
 
 
 @dataclass
 class GlobalBlockParams:
-    """Depthwise positional kernel, attention choice, and feed-forward.
+    """Depthwise positional kernel, attention, and feed-forward.
 
-    ``attn`` is the parameter group of the ``attn_kind`` mechanism.
+    ``attn``'s type names the block's attention mechanism.
     """
 
     dpe_kernel: np.ndarray            # (kt, kh, kw, d), odd extents
     ln_tokens: LnParams
-    attn_kind: str
     attn: attention.AttentionParams
     ln_ffn: LnParams
     ffn: FfnParams
-
-    def __post_init__(self):
-        attention.check_kind(self.attn_kind)
 
 
 def dpe(x, grid, kernel):
@@ -70,7 +67,7 @@ def global_uniblock_forward(x, grid, p):
         tokens = layer_norm(x.reshape(-1, x.shape[-1]), p.ln_tokens.gamma,
                             p.ln_tokens.beta)
         record_shape("global.tokens", tokens)
-        pooled = attention.attend(p.attn_kind, tokens, p.attn, pool=True)
+        pooled = mean_rows(attention.attend(tokens, p.attn))
     record_shape("global.pooled", pooled)
     with stage("global.ffn"):
         refined = ffn(pooled, p.ln_ffn, p.ffn)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import ctf
 from .attention import (ATTENTION_MEAA, ATTENTION_SELF, AdditiveParams,
-                        MhsaParams)
+                        MeaaParams, MhsaParams)
 from .blocks import FfnParams, LocalBlockParams, LtParams
 from .config import DPE_KERNEL, PATCH, TEMPORAL_KERNEL
 from .errors import ConfigError, FormatError
@@ -92,10 +92,12 @@ def layout(cfg, take):
                                 for proj in ("wq", "wk", "wv", "fuse")],
                               heads=cfg.heads)
         prefix = f"{base}.attn"
-        modified = kind == ATTENTION_MEAA
-        return AdditiveParams(
-            q=take(f"{prefix}.q", (1, d), "token", 0) if modified else None,
-            q_ln=ln(f"{prefix}.q_ln") if modified else None,
+        query = {}
+        if kind == ATTENTION_MEAA:
+            query = dict(q=take(f"{prefix}.q", (1, d), "token", 0),
+                         q_ln=ln(f"{prefix}.q_ln"))
+        return (MeaaParams if query else AdditiveParams)(
+            **query,
             wq=take(f"{prefix}.wq", square, "uniform", d),
             wk=take(f"{prefix}.wk", square, "uniform", d),
             w_a=take(f"{prefix}.w_a", row, "uniform", d),
@@ -119,8 +121,7 @@ def layout(cfg, take):
                 kernel=take(f"local{i}.lt.kernel", (kt, 1, 1, d), "uniform",
                             kt),
                 fuse=take(f"local{i}.lt.fuse", square, "uniform", d)),
-            ln2=ln(f"local{i}.ln2"), attn_kind=kind,
-            attn=attention_group(f"local{i}", kind),
+            ln2=ln(f"local{i}.ln2"), attn=attention_group(f"local{i}", kind),
             ln3=ln(f"local{i}.ln3"), ffn=ffn(f"local{i}.ffn"))
             for i, kind in enumerate(cfg.local_attention)],
         global_block=GlobalBlockParams(
@@ -128,7 +129,6 @@ def layout(cfg, take):
                             (DPE_KERNEL, DPE_KERNEL, DPE_KERNEL, d),
                             "uniform", DPE_KERNEL ** 3),
             ln_tokens=ln("global.ln_tokens"),
-            attn_kind=cfg.global_attention,
             attn=attention_group("global", cfg.global_attention),
             ln_ffn=ln("global.ln_ffn"), ffn=ffn("global.ffn")),
         fusion=FusionParams(

@@ -96,14 +96,17 @@ class TestCountFlops:
         assert all(v >= 0 for v in report.stages.values())
 
     def test_desk_peaks(self):
-        # the input, then per attention stage t * estimate_memory: 4 frames
-        # of 5 tokens, d=64; per FFN stage its GELU output, 256 wide for
-        # each token row
+        # the input; the backbone's (8 + 2) frames of 2x2 patch rows of
+        # 16*16*3 values, its 8x2x2x64 output and one tap product; per
+        # attention stage t * estimate_memory: 4 frames of 5 tokens, d=64;
+        # per FFN stage its GELU output, 256 wide for each token row
         report = analysis.count_flops(desk_preset())
         local = 4 * analysis.estimate_memory(ATTENTION_SELF, 5, 64).elements
         assert local == 4 * 4 * 5 * 64 + 4 * 5 * 5
+        assert 10 * 4 * 768 + 2 * 8 * 4 * 64 == 34816
         assert list(report.peaks.items()) == [
-            ("input", 8 * 32 * 32 * 3), ("local0.attn", local),
+            ("input", 8 * 32 * 32 * 3), ("backbone", 34816),
+            ("local0.attn", local),
             ("local0.ffn", 4 * 5 * 256), ("local1.attn", local),
             ("local1.ffn", 4 * 5 * 256),
             ("global.attn", analysis.estimate_memory(ATTENTION_MEAA, 20,

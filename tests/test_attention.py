@@ -17,7 +17,7 @@ from util import (assert_close, eaa_oracle, matmul_oracle, meaa_oracle,
 
 
 class TestAttend:
-    """The dispatcher runs exactly the kernel its kind names."""
+    """The dispatcher runs exactly the kernel its parameter group names."""
 
     def instance(self, kind, n=5, d=8, seed=150):
         rng = np.random.default_rng(seed)
@@ -34,8 +34,11 @@ class TestAttend:
     @pytest.mark.parametrize("pool", (True, False))
     @pytest.mark.parametrize("kind", attention.ATTENTION_KINDS)
     def test_matches_direct_kernel_call(self, kind, pool):
+        # attend's rows, and the mean of them the global block takes, are
+        # the direct kernel call's
         x, p = self.instance(kind)
-        got = attention.attend(kind, x, p, pool=pool)
+        got = attention.attend(x, p)
+        got = mean_rows(got) if pool else got
         if kind == attention.ATTENTION_SELF:
             rows = attention.mhsa(x, p)
             want = mean_rows(rows) if pool else rows
@@ -56,15 +59,18 @@ class TestAttend:
         meter = MemoryMeter()
         with metering(meter):
             for _ in range(2):
-                attention.attend(kind, x, p, pool=pool)
+                rows = attention.attend(x, p)
+                if pool:
+                    mean_rows(rows)
         assert meter.live == 0
         assert meter.high_water == analysis.estimate_memory(
             kind, 5, 8).elements
 
-    def test_unknown_kind_raises_config_error(self):
+    def test_rejects_what_is_not_a_parameter_group(self):
         x, p = self.instance(attention.ATTENTION_EAA)
-        with pytest.raises(ConfigError):
-            attention.attend("windowed", x, p, pool=True)
+        for other in (attention.ATTENTION_EAA, vars(p), None):
+            with pytest.raises(ConfigError, match="no attention mechanism"):
+                attention.attend(x, other)
 
 
 class TestMeaa:
@@ -87,9 +93,8 @@ class TestMeaa:
         # key=1, hidden=1*1+1+1=3, row=3*1+1=4, mean=4
         ones = np.ones((1, 1))
         params = attention.AdditiveParams(
-            q=ones.copy(), wq=ones.copy(), wk=ones.copy(),
-            w_a=np.ones(1), w1=ones.copy(), b1=np.ones(1),
-            w2=ones.copy(), b2=np.ones(1))
+            wq=ones.copy(), wk=ones.copy(), w_a=np.ones(1), w1=ones.copy(),
+            b1=np.ones(1), w2=ones.copy(), b2=np.ones(1))
         out = attention.meaa(ones, ones, params)
         assert out.shape == (1, 1)
         assert out[0, 0] == 4.0
@@ -359,9 +364,8 @@ class TestMhsa:
         params = random_mhsa_params(rng, d, 2)
         counter = MacCounter()
         with counting(counter):
-            out = attention.attend(attention.ATTENTION_SELF,
-                                   rng.standard_normal((n, d)), params,
-                                   pool=True)
+            out = mean_rows(attention.attend(rng.standard_normal((n, d)),
+                                             params))
         assert out.shape == (1, d)
         assert counter.total == 4 * n * d * d + n * d + 2 * n * n * d + d
 
@@ -386,14 +390,14 @@ class TestFrameStacks:
         return x, p
 
     @staticmethod
-    def mix(kind, tokens, p, pool=False):
-        return attention.attend(kind, tokens, p, pool=pool)
+    def mix(tokens, p):
+        return attention.attend(tokens, p)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_stack_equals_per_frame_calls(self, kind):
         x, p = self.instance(kind)
-        got = self.mix(kind, x, p)
-        want = np.stack([self.mix(kind, frame, p) for frame in x])
+        got = self.mix(x, p)
+        want = np.stack([self.mix(frame, p) for frame in x])
         assert got.shape == x.shape
         assert got.tobytes() == want.tobytes()
 
@@ -402,24 +406,27 @@ class TestFrameStacks:
         x, p = self.instance(kind)
         stacked, single = MacCounter(), MacCounter()
         with counting(stacked):
-            self.mix(kind, x, p)
+            self.mix(x, p)
         with counting(single):
-            self.mix(kind, x[0], p)
+            self.mix(x[0], p)
         assert stacked.total == len(x) * single.total
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_rank_4_tokens_rejected(self, kind):
         x, p = self.instance(kind)
         with pytest.raises(ShapeError, match="rank"):
-            self.mix(kind, x[None], p)
+            self.mix(x[None], p)
 
     def test_pooled_stack_rejected(self):
-        for kind in self.KINDS:
-            x, p = self.instance(kind)
-            with pytest.raises(ShapeError, match="^pooled attention tokens "
-                               r"must be \(n, d\), got shape "
+        # the additive kernels' pool=True, the only pooled entry points
+        x, p = self.instance(attention.ATTENTION_MEAA)
+        q_normed = np.ones((1, x.shape[-1]))
+        for pooled in (lambda: attention.meaa(q_normed, x, p, pool=True),
+                       lambda: attention.eaa_original(x, p, pool=True)):
+            with pytest.raises(ShapeError, match="^pooled additive attention "
+                               r"tokens must be \(n, d\), got shape "
                                r"\(3, 17, 8\)$"):
-                self.mix(kind, x, p, pool=True)
+                pooled()
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("pool", (True, False))
@@ -438,8 +445,10 @@ class TestFrameStacks:
         before = [a.tobytes() for a in arrays]
         if kind == attention.ATTENTION_MEAA:
             attention.meaa(q_normed, tokens, p, pool)
+        elif kind == attention.ATTENTION_EAA:
+            attention.eaa_original(tokens, p, pool)
         else:
-            self.mix(kind, tokens, p, pool)
+            self.mix(tokens, p)
         assert [a.tobytes() for a in arrays] == before
 
 
@@ -559,8 +568,11 @@ class TestBufferSchedules:
         peak = int(np.prod(frames)) * analysis.estimate_memory(
             kind, n, d).elements
         for p, direct in calls:
-            for run in (direct, lambda: attention.attend(kind, x, p,
-                                                         pool=pool)):
+            def through_attend(p=p):
+                rows = attention.attend(x, p)
+                return mean_rows(rows) if pool else rows
+
+            for run in (direct, through_attend):
                 meter = self.meter_for(run)
                 assert meter.live == 0
                 assert meter.high_water == peak

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from cuenet import attention, blocks
-from cuenet.attention import (ATTENTION_EAA, ATTENTION_KINDS, ATTENTION_MEAA,
-                              ATTENTION_SELF)
+from cuenet.attention import ATTENTION_KINDS, ATTENTION_MEAA, ATTENTION_SELF
 from cuenet.blocks import FfnParams, LnParams, LocalBlockParams, LtParams
-from cuenet.errors import ConfigError, ShapeError
+from cuenet.errors import ShapeError
 from cuenet.instrument import (UNATTRIBUTED, MacCounter, MemoryMeter,
                                counting, metering)
 from cuenet.tensor import gelu, layer_norm
@@ -58,8 +57,8 @@ def random_block(rng, d, kind, kt=3, hidden=None, dtype=np.float64):
     attn = random_attention(rng, d, kind, dtype)
     return LocalBlockParams(ln1=random_ln(rng, d, dtype),
                             lt=random_lt(rng, d, kt, dtype),
-                            ln2=random_ln(rng, d, dtype), attn_kind=kind,
-                            attn=attn, ln3=random_ln(rng, d, dtype),
+                            ln2=random_ln(rng, d, dtype), attn=attn,
+                            ln3=random_ln(rng, d, dtype),
                             ffn=random_ffn(rng, d, hidden, dtype))
 
 
@@ -168,7 +167,7 @@ class TestGsMhra:
         d = 8
         x, _ = random_tokens(rng, frames=3, d=d)
         p = random_mhsa_params(rng, d, 2)
-        out = attention.attend(ATTENTION_SELF, x, p, pool=False)
+        out = attention.attend(x, p)
         for t in range(x.shape[0]):
             assert_close(out[t], mhsa_oracle(x[t], p), rel=1e-12)
 
@@ -176,10 +175,10 @@ class TestGsMhra:
         rng = np.random.default_rng(21)
         x, _ = random_tokens(rng, frames=3, d=8)
         p = random_mhsa_params(rng, 8, 2)
-        base = attention.attend(ATTENTION_SELF, x, p, pool=False)
+        base = attention.attend(x, p)
         bumped = x.copy()
         bumped[1] += 10.0
-        redone = attention.attend(ATTENTION_SELF, bumped, p, pool=False)
+        redone = attention.attend(bumped, p)
         assert np.array_equal(redone[0], base[0])
         assert np.array_equal(redone[2], base[2])
         assert not np.allclose(redone[1], base[1])
@@ -188,8 +187,7 @@ class TestGsMhra:
         rng = np.random.default_rng(22)
         x, _ = random_tokens(rng, d=6)
         with pytest.raises(ShapeError):
-            attention.attend(ATTENTION_SELF, x, random_mhsa_params(rng, 6, 4),
-                             pool=False)
+            attention.attend(x, random_mhsa_params(rng, 6, 4))
 
 
 class TestAdditiveMixer:
@@ -199,7 +197,7 @@ class TestAdditiveMixer:
         x, _ = random_tokens(rng, frames=3, d=d)
         p = random_additive_params(rng, d, with_q=True)
         p.q_ln = q_ln = random_ln(rng, d)
-        out = attention.attend(ATTENTION_MEAA, x, p, pool=False)
+        out = attention.attend(x, p)
         q_normed = layer_norm(p.q, q_ln.gamma, q_ln.beta)
         for t in range(x.shape[0]):
             assert_close(out[t], meaa_oracle(q_normed, x[t], p, pooled=False),
@@ -210,7 +208,7 @@ class TestAdditiveMixer:
         d = 6
         x, _ = random_tokens(rng, frames=2, d=d)
         p = random_additive_params(rng, d, with_q=False)
-        out = attention.attend(ATTENTION_EAA, x, p, pool=False)
+        out = attention.attend(x, p)
         for t in range(x.shape[0]):
             assert_close(out[t], eaa_oracle(x[t], p, pooled=False),
                          rel=1e-12)
@@ -312,8 +310,3 @@ class TestLocalBlock:
         assert counter.stages["local0.attn"] \
             == frames * (4 * m * d * d + m * d + 2 * m * m * d)
         assert counter.stages["local0.ffn"] == 2 * tokens * d * hidden
-
-    def test_unknown_kind_rejected_at_construction(self):
-        rng = np.random.default_rng(53)
-        with pytest.raises(ConfigError):
-            random_block(rng, 4, "windowed")

@@ -57,14 +57,30 @@ def workdir(tmp_path_factory):
 # b = 2**18 // n score rows per block.  global: 8 x (64*64 + 1) = 32,776
 # tokens at d = 2048, b = 7: 268,730,424 elements, 2,149,843,392 bytes of
 # f64.  local0: 1 x (256*256 + 1) = 65,537 tokens at d = 1024, b = 3:
-# 268,636,163 elements, 2,149,089,304 bytes.  Every other stage and the
-# input stay under 2 GiB.
+# 268,636,163 elements, 2,149,089,304 bytes.  Every other attention and FFN
+# stage and the input stay under 2 GiB.  The backbone is priced first and
+# is larger still: its zero-framed patch rows, its output and one temporal
+# tap's product, (t + 2)*s*768 + 2*t*s*d elements over s patches per frame.
+# global: 18*4096*768 + 2*16*4096*2048 = 325,058,560 elements; local0:
+# 4*65536*768 + 2*2*65536*1024 = 469,762,048 elements.
 OVERSIZED_ATTENTION = (
     ("global.attn", dict(frames=16, height=1024, width=1024, hidden=2048,
                          ffn_ratio=1, local_attention=("meaa", "meaa"),
                          global_attention="self_attention")),
     ("local0.attn", dict(frames=2, height=4096, width=4096, hidden=1024,
                          ffn_ratio=1)))
+ATTENTION_BYTES = {"global.attn": 2_149_843_392, "local0.attn": 2_149_089_304}
+BACKBONE_BYTES = {"global.attn": 2_600_468_480, "local0.attn": 3_758_096_384}
+
+# Two frames of 6672x6672 are 2,136,748,032 bytes of f64 input, just under
+# 2 GiB, and every attention and FFN stage is smaller; but the backbone's
+# 4*173,889*768 patch rows alone are twice the input.
+OVERSIZED_BACKBONE = desk_preset(frames=2, height=6672, width=6672)
+
+
+def priced_bytes(cfg, stage):
+    """The f64 bytes ``count_flops`` prices ``stage`` of ``cfg`` at."""
+    return analysis.count_flops(cfg).peaks[stage] * 8
 
 
 def oversized_config(tmp_path, overrides):
@@ -306,8 +322,10 @@ class TestInfer:
                          "--config", str(oversized_config(tmp_path,
                                                           overrides))])
         assert code == 3
-        assert f"{stage} intermediates: 2149843392 bytes" \
+        assert f"backbone intermediates: {BACKBONE_BYTES[stage]} bytes" \
             in capsys.readouterr().err
+        assert priced_bytes(desk_preset(**overrides), stage) \
+            == ATTENTION_BYTES[stage]
 
     def test_oversized_local_attention_exits_3_before_reading(
             self, workdir, tmp_path, monkeypatch, capsys):
@@ -325,8 +343,10 @@ class TestInfer:
                                                           overrides))])
         assert code == 3
         err = capsys.readouterr().err
-        assert f"{stage} intermediates: 2149089304 bytes" in err
+        assert f"backbone intermediates: {BACKBONE_BYTES[stage]} bytes" in err
         assert "2 GiB limit" in err
+        assert priced_bytes(desk_preset(**overrides), stage) \
+            == ATTENTION_BYTES[stage]
 
     def test_oversized_ffn_exits_3_before_reading(
             self, workdir, tmp_path, monkeypatch, capsys):
@@ -335,10 +355,10 @@ class TestInfer:
         def fail(*args, **kwargs):
             raise AssertionError("called before the configuration was priced")
 
+        config = desk_preset(frames=8, height=2048, width=2048, hidden=1024,
+                             heads=16).with_attention("meaa", "everywhere")
         cfg = tmp_path / "ffn.cfg"
-        cfg.write_text(serialize_config(desk_preset(
-            frames=8, height=2048, width=2048, hidden=1024,
-            heads=16).with_attention("meaa", "everywhere")))
+        cfg.write_text(serialize_config(config))
         monkeypatch.setattr(ctf, "read_tensor", fail)
         monkeypatch.setattr(model, "forward", fail)
         code = cli.main(["infer", "--video", str(workdir / "clip.ctf"),
@@ -347,7 +367,26 @@ class TestInfer:
                          "--config", str(cfg)])
         assert code == 3
         assert capsys.readouterr().err == (
-            "error: local0.ffn intermediates: 2147614720 bytes in double "
+            "error: backbone intermediates: 3154116608 bytes in double "
+            "precision, over the 2 GiB limit\n")
+        assert priced_bytes(config, "local0.ffn") == 2147614720
+
+    def test_oversized_backbone_exits_3_before_reading(
+            self, workdir, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("called before the configuration was priced")
+
+        cfg = tmp_path / "backbone.cfg"
+        cfg.write_text(serialize_config(OVERSIZED_BACKBONE))
+        monkeypatch.setattr(ctf, "read_tensor", fail)
+        monkeypatch.setattr(model, "forward", fail)
+        code = cli.main(["infer", "--video", str(workdir / "clip.ctf"),
+                         "--detections", str(workdir / "det.jsonl"),
+                         "--weights", str(workdir / "desk.cwc"),
+                         "--config", str(cfg)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: backbone intermediates: 4629620736 bytes in double "
             "precision, over the 2 GiB limit\n")
 
     @pytest.mark.parametrize("constant", ("NaN", "Infinity", "-Infinity"))
@@ -625,8 +664,24 @@ class TestFlops:
                          str(oversized_config(tmp_path, overrides)),
                          "--verify", "on"])
         assert code == 3
-        assert f"{stage} intermediates" \
+        assert f"backbone intermediates: {BACKBONE_BYTES[stage]} bytes" \
             in capsys.readouterr().err
+        assert priced_bytes(desk_preset(**overrides), stage) \
+            == ATTENTION_BYTES[stage]
+
+    def test_oversized_backbone_exits_3_before_drawing(
+            self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("probe drawn before its size was priced")
+
+        cfg = tmp_path / "backbone.cfg"
+        cfg.write_text(serialize_config(OVERSIZED_BACKBONE))
+        monkeypatch.setattr(np.random, "default_rng", fail)
+        code = cli.main(["flops", "--config", str(cfg), "--verify", "on"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: backbone intermediates: 4629620736 bytes in double "
+            "precision, over the 2 GiB limit\n")
 
     @pytest.mark.parametrize("stage, overrides", OVERSIZED_ATTENTION)
     def test_oversized_attention_still_reported_without_verify(

@@ -20,7 +20,7 @@ def random_global(rng, d, kind, hidden=None, dtype=np.float64):
     attn = random_attention(rng, d, kind, dtype)
     return GlobalBlockParams(
         dpe_kernel=rng.standard_normal((3, 3, 3, d)).astype(dtype),
-        ln_tokens=random_ln(rng, d, dtype), attn_kind=kind, attn=attn,
+        ln_tokens=random_ln(rng, d, dtype), attn=attn,
         ln_ffn=random_ln(rng, d, dtype), ffn=random_ffn(rng, d, hidden, dtype))
 
 

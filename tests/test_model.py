@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from cuenet import fusion as fusion_ops
 from cuenet import analysis, ctf, model, weights
 from cuenet.attention import (ATTENTION_EAA, ATTENTION_KINDS, ATTENTION_MEAA,
-                              ATTENTION_SELF, AdditiveParams, MhsaParams)
+                              ATTENTION_SELF, AdditiveParams, MeaaParams,
+                              MhsaParams)
 from cuenet.blocks import local_uniblock_forward
 from cuenet.config import desk_preset
 from cuenet.crop import parse_detections
@@ -45,20 +46,23 @@ class TestBindParameters:
         params = model.bind_parameters(weights.init_weights(cfg), cfg)
         assert params.patch_kernel.shape == (3, 16, 16, 3, 64)
         assert len(params.local_blocks) == 2
-        assert params.local_blocks[0].attn_kind == ATTENTION_SELF
-        assert params.global_block.attn_kind == ATTENTION_MEAA
+        assert type(params.local_blocks[0].attn) is MhsaParams
+        assert type(params.global_block.attn) is MeaaParams
         assert params.global_block.attn.q.shape == (1, 64)
+        assert params.global_block.attn.q_ln.gamma.shape == (64,)
         assert params.fusion.proj.shape == (64, 2)
 
     def test_kind_selects_parameter_family(self):
-        cfg = small_config(global_attention=ATTENTION_SELF)
-        params = model.bind_parameters(weights.init_weights(cfg), cfg)
-        assert isinstance(params.global_block.attn, MhsaParams)
-        cfg = small_config(global_attention=ATTENTION_EAA)
-        params = model.bind_parameters(weights.init_weights(cfg), cfg)
-        assert isinstance(params.global_block.attn, AdditiveParams)
-        assert params.global_block.attn.q is None
-        assert params.global_block.attn.q_ln is None
+        # the group's type is the one statement of the mechanism; the
+        # original additive form carries no query fields at all
+        for kind, family in ((ATTENTION_SELF, MhsaParams),
+                             (ATTENTION_MEAA, MeaaParams),
+                             (ATTENTION_EAA, AdditiveParams)):
+            cfg = small_config(global_attention=kind)
+            params = model.bind_parameters(weights.init_weights(cfg), cfg)
+            assert type(params.global_block.attn) is family
+        assert not hasattr(params.global_block.attn, "q")
+        assert not hasattr(params.global_block.attn, "q_ln")
 
     def test_rejects_mismatched_container(self):
         cfg = small_config()

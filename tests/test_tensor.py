@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from cuenet import tensor
 from cuenet.errors import ParamError, ShapeError
-from cuenet.instrument import MacCounter, counting
+from cuenet.instrument import MacCounter, MemoryMeter, counting, metering
 
 from util import (assert_close, conv3d_oracle, conv3d_reference,
                   dwconv3d_oracle, dwconv3d_reference, layer_norm_reference,
@@ -381,17 +381,23 @@ class TestPatchEmbed:
     def test_backbone_geometry_copies_the_clip_once(self):
         # 16x112x112 RGB clip, 16x16 patches, three temporal taps padded by
         # one frame: the transient peak is one row copy of the clip (18/16
-        # of its bytes with the padding frames) plus the small output
+        # of its bytes with the padding frames) plus the small output and
+        # one tap's product, the three buffers the meter holds
         rng = np.random.default_rng(24)
         x = rng.standard_normal((16, 112, 112, 3)).astype(np.float32)
         kernel = rng.standard_normal((3, 16, 16, 3, 64)).astype(np.float32)
+        meter = MemoryMeter()
         tracemalloc.start()
         try:
-            tensor.patch_embed(x, kernel)
+            with metering(meter):
+                tensor.patch_embed(x, kernel)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * x.nbytes
+        assert meter.live == 0
+        assert meter.high_water == 18 * 49 * 768 + 2 * 16 * 49 * 64
+        assert peak <= 1.01 * meter.high_water * x.itemsize
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):

@@ -224,8 +224,7 @@ def local_block_reference(x, grid, p):
     mixed[:, 1:, :] = dwconv3d_reference(volume, p.lt.kernel).reshape(
         t, gh * gw, d)
     x = x + (mixed.reshape(-1, d) @ p.lt.fuse).reshape(x.shape)
-    x = x + attention.attend(p.attn_kind, normed(x, p.ln2), p.attn,
-                             pool=False)
+    x = x + attention.attend(normed(x, p.ln2), p.attn)
     hidden = gelu(normed(x, p.ln3).reshape(-1, d) @ p.ffn.w1 + p.ffn.b1)
     return x + (hidden @ p.ffn.w2 + p.ffn.b2).reshape(x.shape)
 
@@ -236,12 +235,12 @@ def global_block_reference(x, grid, p):
     ``pooled + hidden @ w2 + b2``.  With ``b2 = 0`` that order gives the
     same bytes as the local blocks' ``x + (hidden @ w2 + b2)``."""
     from cuenet import attention
-    from cuenet.tensor import gelu
+    from cuenet.tensor import gelu, mean_rows
     d = x.shape[-1]
     x = dpe_reference(x, grid, p.dpe_kernel)
     tokens = layer_norm_reference(x.reshape(-1, d), p.ln_tokens.gamma,
                                   p.ln_tokens.beta)
-    pooled = attention.attend(p.attn_kind, tokens, p.attn, pool=True)
+    pooled = mean_rows(attention.attend(tokens, p.attn))
     normed = layer_norm_reference(pooled, p.ln_ffn.gamma, p.ln_ffn.beta)
     hidden = gelu(normed @ p.ffn.w1 + p.ffn.b1)
     return pooled + hidden @ p.ffn.w2 + p.ffn.b2
@@ -376,13 +375,20 @@ def mhsa_oracle(tokens, p):
 
 
 def random_additive_params(rng, d, with_q, dtype=np.float64):
-    """Seeded additive-attention parameters at unit scale."""
-    from cuenet.attention import AdditiveParams
+    """Seeded additive-attention parameters at unit scale: with ``with_q``
+    a :class:`MeaaParams` whose ``q`` is drawn first and whose ``q_ln`` is
+    the identity normalization (nothing drawn), else the original form's
+    :class:`AdditiveParams`."""
+    from cuenet.attention import AdditiveParams, MeaaParams
+    from cuenet.tensor import LnParams
     draw = lambda shape: rng.standard_normal(shape).astype(dtype)
-    return AdditiveParams(
-        q=draw((1, d)) if with_q else None, wq=draw((d, d)),
-        wk=draw((d, d)), w_a=draw((d,)), w1=draw((d, d)), b1=draw((d,)),
-        w2=draw((d, d)), b2=draw((d,)))
+    query = {}
+    if with_q:
+        query = dict(q=draw((1, d)), q_ln=LnParams(
+            gamma=np.ones(d, dtype=dtype), beta=np.zeros(d, dtype=dtype)))
+    return (MeaaParams if with_q else AdditiveParams)(
+        **query, wq=draw((d, d)), wk=draw((d, d)), w_a=draw((d,)),
+        w1=draw((d, d)), b1=draw((d,)), w2=draw((d, d)), b2=draw((d,)))
 
 
 def random_mhsa_params(rng, d, heads, dtype=np.float64):
