@@ -9,9 +9,11 @@ kept: a single box would discard scene context without isolating an
 interaction.
 
 Box coordinates are continuous, x rightward and y downward, with
-``x_min <= x_max`` and ``y_min <= y_max``.  Pixel extraction rounds the union
-box outward (floor the minima, ceil the maxima) and clamps to the frame, so
-the crop never loses detected content to rounding.
+``x_min <= x_max`` and ``y_min <= y_max``.  Detected boxes are kept as the
+detector gave them and may poke outside the frame; the policy clamps their
+union to the frame once.  Pixel extraction rounds the union box outward
+(floor the minima, ceil the maxima), so the crop never loses detected
+content to rounding.
 """
 
 import json
@@ -24,7 +26,10 @@ from .tensor import check_tensor
 
 @dataclass(frozen=True)
 class BBox:
-    """Axis-aligned box, continuous coordinates, min corner inclusive."""
+    """Axis-aligned box, continuous coordinates, min corner inclusive.
+
+    Corners must be finite and ordered; they may lie outside any frame.
+    """
 
     x_min: float
     y_min: float
@@ -36,9 +41,8 @@ class BBox:
                 and math.isfinite(self.x_max) and math.isfinite(self.y_max)):
             raise ValueError(f"non-finite box corner: {self}")
         if self.x_min > self.x_max or self.y_min > self.y_max:
-            raise ValueError(f"inverted box: {self}")
-        if self.x_min < 0 or self.y_min < 0:
-            raise ValueError(f"negative box corner: {self}")
+            raise ValueError(f"inverted raw box ({self.x_min}, {self.y_min}, "
+                             f"{self.x_max}, {self.y_max})")
 
     def contains(self, other):
         """Whether ``other`` lies entirely inside this box."""
@@ -46,23 +50,9 @@ class BBox:
                 and self.x_max >= other.x_max and self.y_max >= other.y_max)
 
 
-def clamp_box(x_min, y_min, x_max, y_max, height, width):
-    """Clamp raw detector output to the frame rectangle.
-
-    Raw corners may poke outside the frame; ordering must already hold.
-    """
-    if x_min > x_max or y_min > y_max:
-        raise ValueError(f"inverted raw box ({x_min}, {y_min}, {x_max}, "
-                         f"{y_max})")
-    return BBox(min(max(x_min, 0.0), float(width)),
-                min(max(y_min, 0.0), float(height)),
-                min(max(x_max, 0.0), float(width)),
-                min(max(y_max, 0.0), float(height)))
-
-
 @dataclass
 class DetectionSequence:
-    """Per-frame detection boxes for one clip, already frame-clamped."""
+    """Per-frame detection boxes for one clip, as detected (not clamped)."""
 
     frames: list
     height: int
@@ -107,9 +97,10 @@ def parse_detections(text, height, width):
     Each line is an object ``{"frame": i, "boxes": [[x_min, y_min, x_max,
     y_max], ...]}``.  Frames may appear in any order but the indices must
     form exactly 0..T-1 with no duplicates.  Box corners must be JSON
-    numbers (not strings, booleans, ``NaN`` or ``Infinity``); they are
-    clamped to the frame after validating ordering.  A malformed line, or
-    one with ``min > max``, is rejected with its line number.
+    numbers (not strings, booleans, ``NaN`` or ``Infinity``) that fit a
+    float; boxes are kept as detected, outside the frame or not.  A
+    malformed line, or one with ``min > max``, is rejected with its line
+    number.
     """
     by_index = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -143,13 +134,11 @@ def parse_detections(text, height, width):
                 if not all(isinstance(v, (int, float))
                            and not isinstance(v, bool) for v in entry):
                     raise TypeError("box corner is not a JSON number")
-                corners = [float(v) for v in entry]
+                boxes.append(BBox(*map(float, entry)))
             except (TypeError, OverflowError):
                 raise FormatError(f"non-numeric box corner in {entry!r}",
                                   line=lineno) from None
-            try:
-                boxes.append(clamp_box(*corners, height=height, width=width))
-            except ValueError as exc:
+            except ValueError as exc:  # non-finite or inverted
                 raise FormatError(str(exc), line=lineno) from None
         by_index[index] = boxes
     if not by_index:
@@ -168,16 +157,17 @@ def compute_crop_box(detections):
     """Apply the crop policy to a detection sequence.
 
     Returns a :class:`CropDecision`.  The union box covers every detection in
-    every frame; cropping is applied exactly when some frame holds more than
-    one box.  When not applied the box is the full frame.
+    every frame, clamped to the frame; cropping is applied exactly when some
+    frame holds more than one box.  When not applied the box is the full
+    frame.
     """
     if detections.frame_count < 1:
         raise FormatError("detection sequence has no frames")
-    height, width = detections.height, detections.width
-    full = BBox(0.0, 0.0, float(width), float(height))
+    height, width = float(detections.height), float(detections.width)
     max_people = detections.max_people
     if max_people <= 1:
-        return CropDecision(applied=False, box=full, max_people=max_people)
+        return CropDecision(applied=False, box=BBox(0.0, 0.0, width, height),
+                            max_people=max_people)
     x_min = y_min = math.inf
     x_max = y_max = -math.inf
     for boxes in detections.frames:
@@ -187,7 +177,10 @@ def compute_crop_box(detections):
             x_max = max(x_max, box.x_max)
             y_max = max(y_max, box.y_max)
     return CropDecision(applied=True,
-                        box=BBox(x_min, y_min, x_max, y_max),
+                        box=BBox(min(max(x_min, 0.0), width),
+                                 min(max(y_min, 0.0), height),
+                                 min(max(x_max, 0.0), width),
+                                 min(max(y_max, 0.0), height)),
                         max_people=max_people)
 
 
@@ -216,14 +209,16 @@ def apply_crop(video, decision):
     A decision that was not applied returns the input unchanged; an applied
     one returns the region as a view of the input, which stays strided and
     shares its memory (and its read-only flag).  The box must lie within
-    the clip's spatial extents.
+    the clip's spatial extents: no negative minimum, no maximum past the
+    far edge.
     """
     check_tensor(video, rank=4, name="video")
     if not decision.applied:
         return video
     _, height, width, _ = video.shape
     box = decision.box
-    if box.x_max > width or box.y_max > height:
+    if box.x_min < 0 or box.y_min < 0 or box.x_max > width \
+            or box.y_max > height:
         raise BoundsError(f"crop box {box} exceeds frame extents "
                           f"({height}, {width})")
     y0, y1, x0, x1 = pixel_bounds(box, height, width)

@@ -402,6 +402,24 @@ class TestInfer:
             in capsys.readouterr().err
         assert not (tmp_path / "cropped.ctf").exists()
 
+    @pytest.mark.parametrize("command", ("crop", "infer"))
+    @pytest.mark.parametrize("box", ("[0, 0, 1e400, 1]", "[-1e400, 0, 5, 5]"))
+    def test_overflowing_float_corner_exits_2(self, workdir, tmp_path,
+                                              capsys, command, box):
+        # the literal decodes to +-inf; no box may hold it, clamped or not
+        bad = tmp_path / "overflow.jsonl"
+        bad.write_text('{"frame": 0, "boxes": [%s]}\n' % box)
+        out = tmp_path / "cropped.ctf"
+        extra = (["--out", str(out)] if command == "crop"
+                 else ["--weights", str(workdir / "desk.cwc")])
+        code = cli.main([command, "--video", str(workdir / "clip.ctf"),
+                         "--detections", str(bad), *extra])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "line 1: non-finite box corner" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_undecodable_detections_exit_2(self, workdir, tmp_path):
         bad = tmp_path / "latin1.jsonl"
         bad.write_bytes(b'{"frame": 0, "boxes": []}\xff\n')

@@ -18,11 +18,18 @@ def lines(*records):
 
 def sequence_from(frames, height=100, width=100):
     """Build a DetectionSequence from raw corner tuples."""
-    built = []
-    for boxes in frames:
-        built.append([crop.clamp_box(*b, height=height, width=width)
-                      for b in boxes])
+    built = [[crop.BBox(*b) for b in boxes] for boxes in frames]
     return crop.DetectionSequence(frames=built, height=height, width=width)
+
+
+def clamped_union(boxes, height, width):
+    """Union of the boxes after clamping each corner to the frame."""
+    def clamp(v, extent):
+        return min(max(v, 0.0), float(extent))
+    return (min(clamp(b.x_min, width) for b in boxes),
+            min(clamp(b.y_min, height) for b in boxes),
+            max(clamp(b.x_max, width) for b in boxes),
+            max(clamp(b.y_max, height) for b in boxes))
 
 
 class TestParsing:
@@ -42,12 +49,16 @@ class TestParsing:
             == (1.5, 2.5, 20.0, 30.0)
 
     def test_corners_clamped_to_frame(self):
+        # boxes are kept as detected; the policy clamps their union once
         seq = crop.parse_detections(
-            lines({"frame": 0, "boxes": [[-5.0, 0.0, 30.0, 40.0]]}),
+            lines({"frame": 0, "boxes": [[-5.0, 0.0, 30.0, 40.0],
+                                         [20.0, 10.0, 130.0, 50.0]]}),
             height=100, width=100)
-        box = seq.frames[0][0]
+        raw = [(b.x_min, b.y_min, b.x_max, b.y_max) for b in seq.frames[0]]
+        assert raw == [(-5.0, 0.0, 30.0, 40.0), (20.0, 10.0, 130.0, 50.0)]
+        box = crop.compute_crop_box(seq).box
         assert (box.x_min, box.y_min, box.x_max, box.y_max) \
-            == (0.0, 0.0, 30.0, 40.0)
+            == (0.0, 0.0, 100.0, 50.0)
 
     def test_frames_accepted_out_of_order(self):
         seq = crop.parse_detections(
@@ -69,7 +80,8 @@ class TestParsing:
                 height=10, width=10)
 
     def test_inverted_box_reports_line(self):
-        with pytest.raises(FormatError, match="line 1"):
+        with pytest.raises(FormatError, match=r"line 1: inverted raw box "
+                                              r"\(5\.0, 0\.0, 1\.0, 4\.0\)$"):
             crop.parse_detections(
                 lines({"frame": 0, "boxes": [[5.0, 0.0, 1.0, 4.0]]}),
                 height=10, width=10)
@@ -90,11 +102,14 @@ class TestParsing:
             crop.parse_detections("", height=10, width=10)
 
     def test_corner_too_large_for_float_reports_line(self):
-        huge = 10 ** 400
-        text = lines({"frame": 0, "boxes": []},
-                     {"frame": 1, "boxes": [[0, 0, huge, 1]]})
-        with pytest.raises(FormatError, match="line 2"):
-            crop.parse_detections(text, height=100, width=100)
+        # an integer overflows float(); a float literal decodes to +-inf,
+        # which no box may hold: [[-1e400, 0, 5, 5]] is not (0, 0, 5, 5)
+        for box in ("[0, 0, 1%s, 1]" % ("0" * 400), "[0, 0, 1e400, 1]",
+                    "[-1e400, 0, 5, 5]"):
+            text = lines({"frame": 0, "boxes": []}) \
+                + '{"frame": 1, "boxes": [%s]}\n' % box
+            with pytest.raises(FormatError, match="line 2"):
+                crop.parse_detections(text, height=100, width=100)
 
     @pytest.mark.parametrize("record", (
         {"frame": True, "boxes": []},
@@ -157,6 +172,7 @@ class TestPolicy:
             == (10.0, 5.0, 70.0, 80.0)
 
     def test_union_matches_brute_force(self):
+        # corners reach 180 on a 100-wide frame, so the clamp is exercised
         rng = np.random.default_rng(17)
         for _ in range(50):
             frames = []
@@ -175,10 +191,9 @@ class TestPolicy:
             assert decision.applied == (seq.max_people > 1) == any_multi
             if decision.applied:
                 all_boxes = [b for f in seq.frames for b in f]
-                assert decision.box.x_min == min(b.x_min for b in all_boxes)
-                assert decision.box.y_min == min(b.y_min for b in all_boxes)
-                assert decision.box.x_max == max(b.x_max for b in all_boxes)
-                assert decision.box.y_max == max(b.y_max for b in all_boxes)
+                box = decision.box
+                assert (box.x_min, box.y_min, box.x_max, box.y_max) \
+                    == clamped_union(all_boxes, 100, 100)
 
     def test_frame_order_does_not_matter(self):
         frames = [
@@ -238,10 +253,12 @@ class TestApply:
 
     def test_box_outside_frame_rejected(self):
         video = np.zeros((1, 4, 4, 1))
-        decision = crop.CropDecision(
-            applied=True, box=crop.BBox(0.0, 0.0, 8.0, 8.0), max_people=2)
-        with pytest.raises(BoundsError):
-            crop.apply_crop(video, decision)
+        for box in (crop.BBox(0.0, 0.0, 8.0, 8.0),
+                    crop.BBox(-1.0, 0.0, 2.0, 2.0),
+                    crop.BBox(0.0, -0.5, 2.0, 2.0)):
+            decision = crop.CropDecision(applied=True, box=box, max_people=2)
+            with pytest.raises(BoundsError, match="exceeds frame extents"):
+                crop.apply_crop(video, decision)
 
     def test_degenerate_point_box_keeps_one_pixel(self):
         video = np.zeros((1, 4, 4, 1))
@@ -252,17 +269,17 @@ class TestApply:
 
 
 @st.composite
-def detection_frames(draw):
+def detection_frames(draw, low=0.0, high=100.0):
     frame_count = draw(st.integers(min_value=1, max_value=5))
     frames = []
     for _ in range(frame_count):
         count = draw(st.integers(min_value=0, max_value=3))
         boxes = []
         for _ in range(count):
-            x0 = draw(st.floats(min_value=0.0, max_value=99.0))
-            y0 = draw(st.floats(min_value=0.0, max_value=99.0))
-            x1 = draw(st.floats(min_value=x0, max_value=100.0))
-            y1 = draw(st.floats(min_value=y0, max_value=100.0))
+            x0 = draw(st.floats(min_value=low, max_value=high - 1.0))
+            y0 = draw(st.floats(min_value=low, max_value=high - 1.0))
+            x1 = draw(st.floats(min_value=x0, max_value=high))
+            y1 = draw(st.floats(min_value=y0, max_value=high))
             boxes.append((x0, y0, x1, y1))
         frames.append(boxes)
     return frames
@@ -293,6 +310,22 @@ class TestProperties:
         assert any(math.isclose(b.y_min, box.y_min) for b in all_boxes)
         assert any(math.isclose(b.x_max, box.x_max) for b in all_boxes)
         assert any(math.isclose(b.y_max, box.y_max) for b in all_boxes)
+
+    @settings(max_examples=150, deadline=None)
+    @given(detection_frames(low=-20.0, high=120.0))
+    def test_out_of_frame_union_is_clamped(self, frames):
+        # boxes poke out of the 100x100 frame; the decision is the union
+        # of the per-box clamped corners, exactly
+        seq = sequence_from(frames)
+        decision = crop.compute_crop_box(seq)
+        assert decision.max_people == max(map(len, frames))
+        assert decision.applied == (decision.max_people > 1)
+        if not decision.applied:
+            return
+        box = decision.box
+        assert (box.x_min, box.y_min, box.x_max, box.y_max) == clamped_union(
+            [b for f in seq.frames for b in f], 100, 100)
+        assert crop.apply_crop(np.zeros((1, 100, 100, 1)), decision).size > 0
 
     @settings(max_examples=100, deadline=None)
     @given(detection_frames())
