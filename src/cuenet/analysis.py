@@ -10,10 +10,11 @@ comparison.
 
 The memory estimator prices the attention mechanisms' intermediate buffers
 under the step schedule documented in :mod:`cuenet.attention` and is checked
-against the instrumented high-water mark the same way.  Every metered call
-frees what it charged before it returns, so one network pass peaks at the
-largest stage entry of :attr:`FlopsReport.peaks`.  Sizes, the bench's
-included, are refused by the one limit in :func:`cuenet.weights.check_size`.
+against the instrumented high-water mark the same way.  A charge lasts as
+long as its array, and each stage drops what it charged before the next
+stage allocates, so one network pass peaks at the largest stage entry of
+:attr:`FlopsReport.peaks`.  Sizes, the bench's included, are refused by the
+one limit in :func:`cuenet.weights.check_size`.
 
 Timing runs each mechanism's kernel, single-head for softmax attention, on
 one token matrix so the asymptotic shapes are visible: the additive forms

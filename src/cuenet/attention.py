@@ -26,28 +26,28 @@ products, the modified form's token-free query path included, are one
 :func:`cuenet.tensor.bmm` over frames: exactly t times the work of one
 frame and the same values as t separate calls.
 
-The additive kernels and :func:`softmax_attention` announce intermediate
-buffer lifetimes to the active memory meter (see :mod:`cuenet.instrument`)
-under a fixed step schedule: a step's inputs stay live until its outputs
-exist, and a softmax normalizes its scores in place, so its weights are the
-scores buffer.  Self-attention scores b = :func:`score_rows` query rows at
-a time: all n rows up to n = 512, else about :data:`SCORE_BLOCK` / n.  The
-resulting high-water marks on (n, d) tokens, pooled or not and for any
-head count, in elements:
+The additive kernels and :func:`softmax_attention` charge each intermediate
+buffer to the active memory meter (see :mod:`cuenet.instrument`) where they
+allocate it, and a charge lasts as long as its array, so the kernels' ``del``
+statements and returns are their release schedule.  A step's inputs stay
+live until its outputs exist, and a softmax normalizes its scores in place,
+so its weights are the scores buffer.  Self-attention scores b =
+:func:`score_rows` query rows at a time: all n rows up to n = 512, else
+about :data:`SCORE_BLOCK` / n.  The resulting high-water marks on (n, d)
+tokens, pooled or not and for any head count, in elements:
 
 * meaa:               2*n*d + 2*d
 * eaa_original:       3*n*d + n + d
 * softmax_attention:  4*n*d + b*n
 
-A (t, n, d) stack holds t times as much.  Every kernel frees what it
-charged before it returns, its output included, so a meter around any call
-ends with zero live elements.
+A (t, n, d) stack holds t times as much.  A returned output stays charged
+while the caller holds it: the self-attention context, which :func:`mhsa`
+drops once its projection exists, and the unpooled additive rows.  Nothing
+else a kernel charged outlives the call, so a meter around a pooled call or
+:func:`mhsa` ends with zero live elements.
 
-Each buffer the schedule names is one allocation: bias and residual adds
-and the softmax run in place in it, and no kernel writes its inputs or
-parameters.  Apart from the returned output, a buffer's last reference goes
-when the meter frees it; an additive kernel's hidden rows go when it
-returns, after no more than the (1, d) mean.
+Each charged buffer is one allocation: bias and residual adds and the
+softmax run in place in it, and no kernel writes its inputs or parameters.
 
 Gradients for the modified form are provided analytically in
 :func:`meaa_grad` for every parameter group plus both inputs.
@@ -60,7 +60,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .instrument import meter_alloc, meter_free
+from .instrument import meter_alloc
 from .tensor import (LnParams, bmm, check_tensor, layer_norm, matmul,
                      mean_rows, mul, scale, softmax_rows)
 
@@ -180,36 +180,31 @@ def attention_scalar(q_star, w_a):
 def _hidden_rows(fused, residual, p):
     """First projection of the additive kernels' shared tail.
 
-    ``fused`` is a (t, n, d) stack.  ``residual``, the query (live in the
-    memory meter as ``q``), broadcasts against it and is added after the
-    projection.  Charges the returned ``hidden`` rows and frees ``fused``
-    and ``q`` in the meter; the caller drops its own reference to
-    ``fused``, and to an n-row residual, before :func:`_output_rows`
-    allocates.
+    ``fused`` is a (t, n, d) stack.  ``residual``, the query, broadcasts
+    against it and is added after the projection.  Charges and returns the
+    ``hidden`` rows; the caller releases ``fused`` and the query by dropping
+    its references to them before :func:`_output_rows` allocates.
     """
     d = fused.shape[-1]
     hidden = matmul(fused.reshape(-1, d), p.w1).reshape(fused.shape)
     hidden += p.b1
     hidden += residual
-    meter_alloc("hidden", hidden.size)
-    meter_free("fused")
-    meter_free("q")
+    meter_alloc(hidden)
     return hidden
 
 
 def _output_rows(hidden, p, pool):
     """Second projection of the additive kernels' shared tail.
 
-    Returns the (t, n, d) rows of a (t, n, d) ``hidden`` stack, or with
-    ``pool`` the (1, d) mean of a one-frame stack's rows; the meter holds
-    nothing of the call on return.
+    Returns the (t, n, d) rows of a (t, n, d) ``hidden`` stack, charged
+    while the caller holds them, or with ``pool`` the uncharged (1, d) mean
+    of a one-frame stack's rows.  ``hidden`` goes when the caller's last
+    reference to it does.
     """
     d = hidden.shape[-1]
     rows = matmul(hidden.reshape(-1, d), p.w2)
     rows += p.b2
-    meter_alloc("rows", rows.size)
-    meter_free("hidden")
-    meter_free("rows")
+    meter_alloc(rows)
     return mean_rows(rows) if pool else rows.reshape(hidden.shape)
 
 
@@ -229,22 +224,19 @@ def meaa(q_normed, tokens, p, pool=True):
                          f"{tokens.shape}; expected (1, {d})")
     # the query path needs no tokens, yet runs per frame as count_flops prices
     q_star = bmm(np.broadcast_to(q_normed, (t, 1, d)), p.wq[None])
-    meter_alloc("q", q_star.size)
+    meter_alloc(q_star)
     k = matmul(stack.reshape(-1, d), p.wk)
-    meter_alloc("k", k.size)
+    meter_alloc(k)
     alpha = attention_scalar(q_star, p.w_a)
-    meter_alloc("alpha", alpha.size)
+    meter_alloc(alpha)
     q_gated = mul(q_star, alpha)
-    meter_alloc("q_gated", q_gated.size)
-    meter_free("alpha")
+    meter_alloc(q_gated)
     del alpha
     fused = mul(k.reshape(t, n, d), q_gated)
-    meter_alloc("fused", fused.size)
-    meter_free("k")
-    meter_free("q_gated")
+    meter_alloc(fused)
     del k, q_gated
     hidden = _hidden_rows(fused, q_star, p)
-    del fused
+    del fused, q_star
     out = _output_rows(hidden, p, pool)
     return out if pool else out.reshape(tokens.shape)
 
@@ -325,19 +317,16 @@ def eaa_original(tokens, p, pool=True):
     t, n, d = stack.shape
     rows = stack.reshape(-1, d)
     q = matmul(rows, p.wq).reshape(t, n, d)
-    meter_alloc("q", q.size)
+    meter_alloc(q)
     k = matmul(rows, p.wk)
-    meter_alloc("k", k.size)
+    meter_alloc(k)
     # the softmax weights overwrite the scores
     scores = softmax_rows(attention_scalar(q, p.w_a).reshape(t, n))
-    meter_alloc("scores", scores.size)
+    meter_alloc(scores)
     q_global = bmm(scores.reshape(t, 1, n), q)
     fused = mul(k.reshape(t, n, d), q_global)
-    meter_alloc("q_global", q_global.size)
-    meter_alloc("fused", fused.size)
-    meter_free("scores")
-    meter_free("k")
-    meter_free("q_global")
+    meter_alloc(q_global)
+    meter_alloc(fused)
     del scores, k, q_global
     hidden = _hidden_rows(fused, q, p)
     del fused, q
@@ -377,31 +366,26 @@ def softmax_attention(tokens, wq, wk, wv, heads):
     rows = stack.reshape(-1, d)
     # scaled as it is made, so no unscaled copy outlives the product
     q = scale(matmul(rows, wq), 1.0 / math.sqrt(dh)).reshape(t, n, d)
-    meter_alloc("q", q.size)
+    meter_alloc(q)
     k = matmul(rows, wk).reshape(t, n, d)
-    meter_alloc("k", k.size)
+    meter_alloc(k)
     v = matmul(rows, wv).reshape(t, n, d)
-    meter_alloc("v", v.size)
+    meter_alloc(v)
     ctx = np.empty_like(stack)
-    meter_alloc("ctx", ctx.size)
+    meter_alloc(ctx)
     for h in range(heads):
         lo, hi = h * dh, (h + 1) * dh
         kt = k[:, :, lo:hi].transpose(0, 2, 1)
         for r in range(0, n, b):
             scores = bmm(q[:, r:r + b, lo:hi], kt)
-            meter_alloc("scores", scores.size)
+            meter_alloc(scores)
             if h == heads - 1 and r + b >= n:  # the last use of q and k
-                meter_free("q")
-                meter_free("k")
                 del q, k, kt
             # the softmax weights overwrite the scores
             scores = softmax_rows(scores.reshape(-1, n)).reshape(
                 scores.shape)
             ctx[:, r:r + b, lo:hi] = bmm(scores, v[:, :, lo:hi])
-            meter_free("scores")
             del scores
-    meter_free("v")
-    meter_free("ctx")
     return ctx.reshape(tokens.shape)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import attention
 from .errors import ShapeError
-from .instrument import meter_alloc, meter_free, stage
+from .instrument import meter_alloc, stage
 from .tensor import (LnParams, check_tensor, dwconv3d, gelu, layer_norm,
                      matmul)
 
@@ -90,15 +90,13 @@ def spatial_dwconv(x, grid, kernel):
 def ffn(x, ln, p):
     """Pre-normalized residual feed-forward over the last axis of ``x``:
     ``x + (gelu(ln(x) @ w1 + b1) @ w2 + b2)``.  The GELU output, one
-    ``ffn_hidden`` row per token, is charged to the memory meter until the
-    second projection has read it."""
+    ``ffn_hidden`` row per token, is charged to the memory meter until it
+    goes, when the function returns."""
     d = x.shape[-1]
     normed = layer_norm(x, ln.gamma, ln.beta).reshape(-1, d)
     hidden = gelu(matmul(normed, p.w1) + p.b1)
-    meter_alloc("hidden", hidden.size)
-    out = x + (matmul(hidden, p.w2) + p.b2).reshape(x.shape)
-    meter_free("hidden")
-    return out
+    meter_alloc(hidden)
+    return x + (matmul(hidden, p.w2) + p.b2).reshape(x.shape)
 
 
 def lt_mhra(x, grid, p):

@@ -187,12 +187,12 @@ def compute_crop_box(detections):
 def pixel_bounds(box, height, width):
     """Outward-rounded integer bounds (y0, y1, x0, x1) of a box.
 
-    Half-open on the max side; guaranteed non-empty and inside the frame.
+    The box must lie inside the frame, as :func:`apply_crop` checks: no
+    negative minimum, no maximum past ``height`` or ``width``.  Half-open
+    on the max side; guaranteed non-empty and inside the frame.
     """
-    y0 = max(0, math.floor(box.y_min))
-    x0 = max(0, math.floor(box.x_min))
-    y1 = min(height, math.ceil(box.y_max))
-    x1 = min(width, math.ceil(box.x_max))
+    y0, x0 = math.floor(box.y_min), math.floor(box.x_min)
+    y1, x1 = math.ceil(box.y_max), math.ceil(box.x_max)
     # degenerate zero-area boxes still yield one pixel
     if y1 <= y0:
         y1 = min(height, y0 + 1)

@@ -6,8 +6,9 @@ numeric kernels stay free of plumbing arguments:
 * ``MacCounter`` accumulates fused multiply-add counts into named stages.
   Kernels report work through :func:`add_macs`; when no counter is active the
   call is a no-op.  One multiply-add pair counts as one unit.
-* ``MemoryMeter`` tracks live intermediate buffers through explicit
-  alloc/free events and records the high-water mark in elements.
+* ``MemoryMeter`` charges each intermediate array that kernels announce
+  through :func:`meter_alloc` until the array is freed, and records the
+  high-water mark in elements.
 * A shape trace is a plain dict that :func:`record_shape` fills with the
   extents of named intermediates, the hook for shape verification.
 
@@ -18,8 +19,11 @@ stage open lands in the ``"unattributed"`` bucket, which verification passes
 require to stay at zero.
 """
 
+import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
+
+import numpy as np
 
 UNATTRIBUTED = "unattributed"
 
@@ -90,32 +94,27 @@ def stage(name):
 class MemoryMeter:
     """High-water mark of live intermediate elements.
 
-    Kernels announce buffer lifetimes with :func:`meter_alloc` and
-    :func:`meter_free`.  The meter charges each buffer its element count for
-    the span between the two events and keeps the peak total.  Input and
-    parameter storage is deliberately out of scope; only intermediates that
-    the caller declares are charged.
+    A kernel charges a buffer once, with :func:`meter_alloc`, where it
+    allocates it, and the charge lasts as long as its array: the meter
+    relies on CPython freeing an array when its last reference goes, so a
+    kernel's ``del`` statements and returns are its release schedule.  A
+    view keeps its base, and so its charge, alive; a charge on a view
+    lasts as long as the view's base.  Input and parameter storage is out
+    of scope; only intermediates that a kernel announces are charged.
     """
 
     def __init__(self):
         self.live = 0
         self.high_water = 0
-        self._sizes = {}
 
-    def alloc(self, name, elements):
-        if name in self._sizes:
-            raise ValueError(f"buffer {name!r} already live")
-        if elements < 0:
-            raise ValueError(f"negative buffer size for {name!r}")
-        self._sizes[name] = int(elements)
-        self.live += int(elements)
-        if self.live > self.high_water:
-            self.high_water = self.live
+    def alloc(self, array):
+        self.live += array.size
+        self.high_water = max(self.high_water, self.live)
+        owner = array.base if isinstance(array.base, np.ndarray) else array
+        weakref.finalize(owner, self._release, array.size)
 
-    def free(self, name):
-        if name not in self._sizes:
-            raise ValueError(f"buffer {name!r} is not live")
-        self.live -= self._sizes.pop(name)
+    def _release(self, elements):
+        self.live -= elements
 
 
 def metering(meter):
@@ -123,16 +122,11 @@ def metering(meter):
     return _installed(_active_meter, meter)
 
 
-def meter_alloc(name, elements):
+def meter_alloc(array):
+    """Charge ``array`` to the active meter, if any, until it is freed."""
     meter = _active_meter.get()
     if meter is not None:
-        meter.alloc(name, elements)
-
-
-def meter_free(name):
-    meter = _active_meter.get()
-    if meter is not None:
-        meter.free(name)
+        meter.alloc(array)
 
 
 def tracing(trace):

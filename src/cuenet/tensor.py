@@ -45,7 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ParamError, ShapeError
-from .instrument import add_macs, meter_alloc, meter_free
+from .instrument import add_macs, meter_alloc
 
 # Supported element precisions, keyed by their external names.
 DTYPES = {"single": np.float32, "double": np.float64}
@@ -193,7 +193,8 @@ def patch_embed(x, kernel):
     ``(p*p*c_in, c_out)`` kernel slice; the output is the sum of the ``kt``
     products.  The memory meter holds the rows, the output and, for kt > 1,
     one tap's product at once: (T + kt - 1)*gh*gw*p*p*c_in +
-    2*T*gh*gw*c_out elements.  It holds nothing on return.
+    2*T*gh*gw*c_out elements.  On return it holds only the output, while
+    the caller does.
     """
     check_tensor(x, rank=4, name="patch_embed input")
     check_tensor(kernel, rank=5, name="patch_embed kernel")
@@ -213,20 +214,17 @@ def patch_embed(x, kernel):
     gh, gw, pt = h // p, w // p, kt // 2
     # patches fill the middle frames in (i, j, c) order, like the kernel taps
     rows = np.zeros((t + 2 * pt, gh * gw, p * p * c), dtype=x.dtype)
-    meter_alloc("patch_rows", rows.size)
+    meter_alloc(rows)
     rows[pt:pt + t].reshape(t, gh, gw, p, p, c)[...] = \
         x.reshape(t, gh, p, gw, p, c).transpose(0, 1, 3, 2, 4, 5)
     taps = kernel.reshape(kt, p * p * c, c_out)
     out = rows[:t] @ taps[0]
-    meter_alloc("embedding", out.size)
+    meter_alloc(out)
     for dt in range(1, kt):
         tap = rows[dt:dt + t] @ taps[dt]
-        meter_alloc("tap", tap.size)
+        meter_alloc(tap)
         out += tap
-        meter_free("tap")
         del tap
-    meter_free("patch_rows")
-    meter_free("embedding")
     out = out.reshape(t, gh, gw, c_out)
     add_macs(out.size * kt * p * p * c_in)
     return out

@@ -8,7 +8,8 @@ import pytest
 
 from cuenet import analysis, attention
 from cuenet.errors import ConfigError, ShapeError
-from cuenet.instrument import MacCounter, MemoryMeter, counting, metering
+from cuenet.instrument import (MacCounter, MemoryMeter, counting, meter_alloc,
+                               metering)
 from cuenet.tensor import LnParams, layer_norm, mean_rows
 
 from util import (assert_close, eaa_oracle, matmul_oracle, meaa_oracle,
@@ -53,18 +54,34 @@ class TestAttend:
     @pytest.mark.parametrize("pool", (True, False))
     @pytest.mark.parametrize("kind", attention.ATTENTION_KINDS)
     def test_releases_what_the_kernel_leaves_live(self, kind, pool):
-        # two calls in a row under one meter must not meet a buffer that is
-        # still live
+        # a call leaves only its output charged, the unpooled additive rows,
+        # and only while the caller holds it: two calls in a row peak at the
+        # estimate when the first output is dropped, and at the estimate
+        # plus that output's charge when it is kept
         x, p = self.instance(kind)
+        estimate = analysis.estimate_memory(kind, 5, 8).elements
+        charged = 0 if pool or kind == attention.ATTENTION_SELF else 5 * 8
+
+        def call():
+            rows = attention.attend(x, p)
+            return mean_rows(rows) if pool else rows
+
         meter = MemoryMeter()
         with metering(meter):
             for _ in range(2):
-                rows = attention.attend(x, p)
-                if pool:
-                    mean_rows(rows)
+                out = call()
+                assert meter.live == charged
+                del out
         assert meter.live == 0
-        assert meter.high_water == analysis.estimate_memory(
-            kind, 5, 8).elements
+        assert meter.high_water == estimate
+        meter = MemoryMeter()
+        with metering(meter):
+            first = call()
+            second = call()
+        assert meter.live == 2 * charged
+        assert meter.high_water == estimate + charged
+        del first, second
+        assert meter.live == 0
 
     def test_rejects_what_is_not_a_parameter_group(self):
         x, p = self.instance(attention.ATTENTION_EAA)
@@ -483,6 +500,9 @@ class TestScoreBlocks:
         kind = attention.ATTENTION_SELF
         assert counter.total == t * (analysis.attention_macs(
             kind, n, d, pooled=False) - n * d * d)
+        # the context stays charged while it is held
+        assert meter.live == got.size
+        del got
         assert meter.live == 0
         assert meter.high_water == t * analysis.estimate_memory(
             kind, n, d).elements
@@ -547,7 +567,7 @@ class TestBufferSchedules:
     @pytest.mark.parametrize("kind", attention.ATTENTION_KINDS)
     def test_every_call_ends_with_nothing_live(self, kind, pool, shape):
         # a direct kernel call and attend peak at t frames of the schedule,
-        # with one head or two, and free all of it before they return
+        # with one head or two, and hold nothing once the output is dropped
         rng = np.random.default_rng(143)
         x = rng.standard_normal(shape)
         *frames, n, d = shape
@@ -608,13 +628,25 @@ class TestBufferSchedules:
         assert peak <= bound * analysis.estimate_memory(kind, n,
                                                          d).elements * 8
 
-    def test_meter_rejects_double_alloc_and_unknown_free(self):
+    def test_charge_lasts_as_long_as_its_array(self):
+        # a view keeps its base, and so the charge, alive; a charged view
+        # stays charged while any view of its base lives; the charge ends
+        # at the last reference
         meter = MemoryMeter()
-        meter.alloc("a", 4)
-        with pytest.raises(ValueError):
-            meter.alloc("a", 2)
-        with pytest.raises(ValueError):
-            meter.free("b")
-        meter.free("a")
-        assert meter.live == 0
-        assert meter.high_water == 4
+        with metering(meter):
+            owner = np.zeros((4, 3))
+            meter_alloc(owner)
+            view = np.ones(6).reshape(2, 3)
+            meter_alloc(view)
+        meter_alloc(np.zeros(5))
+        assert (meter.live, meter.high_water) == (18, 18)
+        row = owner[1]
+        del owner
+        assert meter.live == 18
+        del row
+        assert meter.live == 6
+        column = view[:, 0]
+        del view
+        assert meter.live == 6
+        del column
+        assert (meter.live, meter.high_water) == (0, 18)

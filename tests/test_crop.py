@@ -261,11 +261,15 @@ class TestApply:
                 crop.apply_crop(video, decision)
 
     def test_degenerate_point_box_keeps_one_pixel(self):
-        video = np.zeros((1, 4, 4, 1))
-        decision = crop.CropDecision(
-            applied=True, box=crop.BBox(2.0, 2.0, 2.0, 2.0), max_people=2)
-        out = crop.apply_crop(video, decision)
-        assert out.shape == (1, 1, 1, 1)
+        # a point inside, on the far corner and on the origin: the pixel at
+        # the point, or the last one for the far corner
+        video = np.arange(16.0).reshape(1, 4, 4, 1)
+        for corner, pixel in ((2.0, 2), (4.0, 3), (0.0, 0)):
+            box = crop.BBox(corner, corner, corner, corner)
+            decision = crop.CropDecision(applied=True, box=box, max_people=2)
+            out = crop.apply_crop(video, decision)
+            assert out.shape == (1, 1, 1, 1)
+            assert out[0, 0, 0, 0] == video[0, pixel, pixel, 0]
 
 
 @st.composite

@@ -584,8 +584,8 @@ class TestRandomConfigurations:
     @settings(max_examples=25, deadline=None)
     @given(cfg=random_configs(), heads=st.sampled_from((1, 4)))
     def test_metered_forward_peaks_at_the_priced_stage(self, cfg, heads):
-        # each attention call starts and ends with nothing live, so the
-        # pass peaks at its largest priced attention stage
+        # each stage drops what it charged, its output included, before the
+        # next stage allocates, so the pass peaks at its largest priced stage
         cfg = dataclasses.replace(cfg, heads=heads)
         container = weights.init_weights(cfg)
         video = random_clip(np.random.default_rng(cfg.frames), cfg)
