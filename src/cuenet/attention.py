@@ -23,8 +23,8 @@ attending only within itself; the additive kernels with ``pool`` take
 (n, d) tokens and return the (1, d) column mean of the rows.  A stack's
 per-token projections run once over all t*n rows and its per-frame
 products, the modified form's token-free query path included, are one
-:func:`cuenet.tensor.bmm` over frames: exactly t times the work of one
-frame and the same values as t separate calls.
+batched :func:`cuenet.tensor.matmul` over frames: exactly t times the work
+of one frame and the same values as t separate calls.
 
 The additive kernels and :func:`softmax_attention` charge each intermediate
 buffer to the active memory meter (see :mod:`cuenet.instrument`) where they
@@ -61,8 +61,8 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .instrument import meter_alloc
-from .tensor import (LnParams, bmm, check_tensor, layer_norm, matmul,
-                     mean_rows, mul, scale, softmax_rows)
+from .tensor import (LnParams, check_tensor, layer_norm, matmul, mean_rows,
+                     mul, scale, softmax_rows)
 
 ATTENTION_SELF = "self_attention"
 ATTENTION_MEAA = "meaa"
@@ -173,7 +173,7 @@ def attention_scalar(q_star, w_a):
     d = stack.shape[-1]
     # one gemv per frame: one over all t*m rows rounds some rows unlike the
     # (m, d) call does
-    raw = bmm(stack, w_a.reshape(1, d, 1))
+    raw = matmul(stack, w_a.reshape(1, d, 1))
     return scale(raw, 1.0 / math.sqrt(d)).reshape(q_star.shape[:-1] + (1,))
 
 
@@ -223,7 +223,7 @@ def meaa(q_normed, tokens, p, pool=True):
         raise ShapeError(f"query shape {q_normed.shape} vs tokens "
                          f"{tokens.shape}; expected (1, {d})")
     # the query path needs no tokens, yet runs per frame as count_flops prices
-    q_star = bmm(np.broadcast_to(q_normed, (t, 1, d)), p.wq[None])
+    q_star = matmul(np.broadcast_to(q_normed, (t, 1, d)), p.wq[None])
     meter_alloc(q_star)
     k = matmul(stack.reshape(-1, d), p.wk)
     meter_alloc(k)
@@ -323,7 +323,7 @@ def eaa_original(tokens, p, pool=True):
     # the softmax weights overwrite the scores
     scores = softmax_rows(attention_scalar(q, p.w_a).reshape(t, n))
     meter_alloc(scores)
-    q_global = bmm(scores.reshape(t, 1, n), q)
+    q_global = matmul(scores.reshape(t, 1, n), q)
     fused = mul(k.reshape(t, n, d), q_global)
     meter_alloc(q_global)
     meter_alloc(fused)
@@ -377,14 +377,14 @@ def softmax_attention(tokens, wq, wk, wv, heads):
         lo, hi = h * dh, (h + 1) * dh
         kt = k[:, :, lo:hi].transpose(0, 2, 1)
         for r in range(0, n, b):
-            scores = bmm(q[:, r:r + b, lo:hi], kt)
+            scores = matmul(q[:, r:r + b, lo:hi], kt)
             meter_alloc(scores)
             if h == heads - 1 and r + b >= n:  # the last use of q and k
                 del q, k, kt
             # the softmax weights overwrite the scores
             scores = softmax_rows(scores.reshape(-1, n)).reshape(
                 scores.shape)
-            ctx[:, r:r + b, lo:hi] = bmm(scores, v[:, :, lo:hi])
+            ctx[:, r:r + b, lo:hi] = matmul(scores, v[:, :, lo:hi])
             del scores
     return ctx.reshape(tokens.shape)
 

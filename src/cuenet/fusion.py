@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, VerificationError
 from .tensor import (check_tensor, matmul, mean_rows, mul, sigmoid,
                      softmax_rows)
 
@@ -70,12 +70,23 @@ def classify_grad(z, p, upstream):
     return g_z, g_proj, g_bias
 
 
+def _finite(logits):
+    """``logits``, once no entry is NaN or infinite."""
+    if not np.isfinite(logits).all():
+        raise VerificationError(f"non-finite logits {logits.tolist()}")
+    return logits
+
+
 def probabilities(logits):
-    """Softmax of a logit vector, overflow-safe; the logits are not
-    written."""
-    return softmax_rows(logits.reshape(1, -1).copy()).reshape(-1)
+    """Softmax of a logit vector, overflow-safe, refusing a non-finite one;
+    the logits are not written."""
+    return softmax_rows(_finite(logits).reshape(1, -1).copy()).reshape(-1)
 
 
 def predicted_label(logits):
-    """Class label with the largest logit; ties go to the lower index."""
-    return CLASS_LABELS[int(np.argmax(logits))]
+    """Class label with the largest of ``len(CLASS_LABELS)`` finite logits;
+    ties go to the lower index."""
+    if logits.shape != (len(CLASS_LABELS),):
+        raise ShapeError(f"expected {len(CLASS_LABELS)} logits, got shape "
+                         f"{logits.shape}")
+    return CLASS_LABELS[int(np.argmax(_finite(logits)))]

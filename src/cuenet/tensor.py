@@ -9,7 +9,8 @@ shapes actually run.
 
 Counting convention: one fused multiply-add pair is one unit.  A matrix
 product of an m-by-k by a k-by-n operand therefore reports ``m*k*n``, and
-a batch of b such products ``b*m*k*n``.
+a batch of b such products ``b*m*k*n``.  Every matrix product, the patch
+embedding's included, runs and is counted in :func:`matmul`.
 Comparisons, exponentials, normalization statistics, and plain additions
 report nothing; this exclusion is deliberate and shared with the analytic
 cost model in :mod:`cuenet.analysis`.
@@ -91,33 +92,22 @@ def _check_same_precision(a, b, op):
 # ---------------------------------------------------------------------------
 
 def matmul(a, b):
-    """Matrix product of 2-d operands; reports ``m*k*n`` multiply-adds."""
-    check_tensor(a, rank=2, name="matmul left operand")
-    check_tensor(b, rank=2, name="matmul right operand")
+    """Matrix product of two 2-d operands, or of two 3-d stacks with one
+    m-by-k by k-by-n product per leading index (a batch extent of 1 is
+    shared, as in ``np.matmul``); reports ``out.size * k`` multiply-adds."""
+    check_tensor(a, name="matmul left operand")
+    check_tensor(b, name="matmul right operand")
+    if a.ndim not in (2, 3) or b.ndim != a.ndim:
+        raise ShapeError(f"matmul operands must both have rank 2 or both "
+                         f"rank 3, got {a.shape} and {b.shape}")
     _check_same_precision(a, b, "matmul")
-    m, k = a.shape
-    k2, n = b.shape
-    if k != k2:
+    if a.ndim == 3 and 1 != a.shape[0] != b.shape[0] != 1:
+        raise ShapeError(f"matmul batch extents differ: {a.shape} vs {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
-    add_macs(m * k * n)
-    return a @ b
-
-
-def bmm(a, b):
-    """Batched product of 3-d operands, one ``m*k`` by ``k*n`` product per
-    leading index (a batch extent of 1 is shared, as in ``np.matmul``);
-    reports ``b*m*k*n`` multiply-adds."""
-    check_tensor(a, rank=3, name="bmm left operand")
-    check_tensor(b, rank=3, name="bmm right operand")
-    _check_same_precision(a, b, "bmm")
-    batch, m, k = a.shape
-    batch2, k2, n = b.shape
-    if batch != batch2 and 1 not in (batch, batch2):
-        raise ShapeError(f"bmm batch extents differ: {a.shape} vs {b.shape}")
-    if k != k2:
-        raise ShapeError(f"bmm inner extents differ: {a.shape} vs {b.shape}")
-    add_macs(max(batch, batch2) * m * k * n)
-    return a @ b
+    out = a @ b
+    add_macs(out.size * a.shape[-1])
+    return out
 
 
 def mul(a, b):
@@ -183,18 +173,19 @@ def patch_embed(x, kernel):
     frame is the cross-correlation of ``kt`` consecutive frames, ``kt//2``
     zero frames padding each end so the frame count survives, with the
     clip's p-by-p patches, so the output is (T, H/p, W/p, c_out).  Reports
-    ``out_elements * kt*p*p*c_in`` multiply-adds.
+    ``out_elements * kt*p*p*c_in`` multiply-adds, ``out_elements*p*p*c_in``
+    from each tap's :func:`matmul`.
 
     Splitting H and W into (grid, p) is a reshape, a view for any strides,
     so each frame's patches are gathered once, straight into a buffer of
     rows of ``p*p*c_in`` values whose ``kt//2`` leading and trailing frames
     stay zero as the temporal padding: the clip is copied once.  Every
-    temporal tap is then one matrix product of those rows with that tap's
-    ``(p*p*c_in, c_out)`` kernel slice; the output is the sum of the ``kt``
-    products.  The memory meter holds the rows, the output and, for kt > 1,
-    one tap's product at once: (T + kt - 1)*gh*gw*p*p*c_in +
-    2*T*gh*gw*c_out elements.  On return it holds only the output, while
-    the caller does.
+    temporal tap is then one :func:`matmul` of those rows with that tap's
+    ``(1, p*p*c_in, c_out)`` kernel slice, which every frame shares; the
+    output is the sum of the ``kt`` products.  The memory meter holds the
+    rows, the output and, for kt > 1, one tap's product at once:
+    (T + kt - 1)*gh*gw*p*p*c_in + 2*T*gh*gw*c_out elements.  On return it
+    holds only the output, while the caller does.
     """
     check_tensor(x, rank=4, name="patch_embed input")
     check_tensor(kernel, rank=5, name="patch_embed kernel")
@@ -218,16 +209,14 @@ def patch_embed(x, kernel):
     rows[pt:pt + t].reshape(t, gh, gw, p, p, c)[...] = \
         x.reshape(t, gh, p, gw, p, c).transpose(0, 1, 3, 2, 4, 5)
     taps = kernel.reshape(kt, p * p * c, c_out)
-    out = rows[:t] @ taps[0]
+    out = matmul(rows[:t], taps[:1])
     meter_alloc(out)
     for dt in range(1, kt):
-        tap = rows[dt:dt + t] @ taps[dt]
+        tap = matmul(rows[dt:dt + t], taps[dt:dt + 1])
         meter_alloc(tap)
         out += tap
         del tap
-    out = out.reshape(t, gh, gw, c_out)
-    add_macs(out.size * kt * p * p * c_in)
-    return out
+    return out.reshape(t, gh, gw, c_out)
 
 
 def dwconv3d(x, kernel):

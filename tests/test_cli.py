@@ -521,6 +521,20 @@ class TestInfer:
         assert proc.stdout == ""
         assert "non-finite" in proc.stderr
 
+    @pytest.mark.parametrize("logits", ([np.nan, 1.0], [np.inf, np.inf]))
+    def test_non_finite_logits_from_a_quiet_network_exit_4(
+            self, workdir, monkeypatch, capsys, logits):
+        # no floating-point error on the way: the label functions refuse
+        monkeypatch.setattr(model, "forward",
+                            lambda *args, **kwargs: np.array(logits))
+        code = cli.main(["infer", "--video", str(workdir / "clip.ctf"),
+                         "--detections", str(workdir / "det.jsonl"),
+                         "--weights", str(workdir / "desk.cwc")])
+        out, err = capsys.readouterr()
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: non-finite logits")
+
     @pytest.mark.parametrize("value", (1e160, 1e308))
     def test_overflowing_clip_exits_4(self, workdir, tmp_path, value):
         # finite pixels whose square overflows: the run stops at the first

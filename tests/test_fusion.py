@@ -5,7 +5,7 @@ import pytest
 
 from cuenet import blocks, fusion, global_block
 from cuenet.attention import ATTENTION_KINDS, ATTENTION_MEAA, ATTENTION_SELF
-from cuenet.errors import ParamError, ShapeError
+from cuenet.errors import ParamError, ShapeError, VerificationError
 from cuenet.global_block import GlobalBlockParams
 from cuenet.instrument import UNATTRIBUTED, MacCounter, counting, tracing
 from cuenet.tensor import gelu, layer_norm
@@ -328,3 +328,18 @@ class TestDecision:
         assert fusion.predicted_label(np.array([1.0, -1.0])) == "NonViolent"
         assert fusion.predicted_label(np.array([-0.5, 0.5])) == "Violent"
         assert fusion.predicted_label(np.array([0.0, 0.0])) == "NonViolent"
+
+    @pytest.mark.parametrize("logits", (
+        [np.nan, 1.0], [1.0, np.nan], [np.nan, np.nan], [np.inf, np.inf],
+        [-np.inf, -np.inf], [np.inf, 0.0], [0.0, -np.inf]))
+    def test_non_finite_logits_refused(self, logits):
+        # argmax takes a NaN as the largest value, so no label is safe here
+        logits = np.array(logits)
+        for decide in (fusion.probabilities, fusion.predicted_label):
+            with pytest.raises(VerificationError, match="non-finite logits"):
+                decide(logits)
+
+    @pytest.mark.parametrize("shape", ((1,), (3,), (0,), (1, 2)))
+    def test_label_needs_one_logit_per_class(self, shape):
+        with pytest.raises(ShapeError, match="2 logits"):
+            fusion.predicted_label(np.zeros(shape))

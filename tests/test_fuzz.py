@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cuenet import cli, ctf, weights
+from cuenet import analysis, cli, ctf, weights
 from cuenet.config import desk_preset, parse_config, serialize_config
 from cuenet.crop import parse_detections
 from cuenet.errors import ConfigError, FormatError
@@ -222,8 +222,11 @@ def assert_clean_exit(code, capsys):
         assert err.startswith("error: ")
 
 
-# every valid configuration these values make stays desk-sized, at most 48
-# frames, pixels, channels or widths, so each run takes milliseconds
+# the sampled numbers are at most 48, so the configurations they make stay
+# desk-sized and each run takes milliseconds, apart from "9" * 400: that
+# many channels parses, infer refuses it as over its size limit, and the
+# test gives such a configuration a desk-sized clip.  A drawn text of digits
+# could also parse; "9999" channels would pass the limit with a 586 MiB clip
 infer_config_values = st.one_of(
     st.sampled_from(("0", "-1", "1", "2", "3", "4", "6", "8", "16", "32",
                      "48", "0.5", "4.0", "nan", "inf", "1e400", "9" * 400,
@@ -271,6 +274,7 @@ def mixed_weights(tmp_path_factory):
        st.sampled_from((None, "f32", "f64")))
 @example({"num_classes": "1"}, "config", None)
 @example({"num_classes": "3"}, "config", None)
+@example({"channels": "9" * 400}, "config", None)
 def test_infer_exits_cleanly_on_any_config_and_weights(
         infer_weights, mixed_weights, tmp_path, capsys, values, source,
         flag):
@@ -295,14 +299,22 @@ def test_infer_exits_cleanly_on_any_config_and_weights(
         path = mixed_weights[source]
     else:
         path = infer_weights[source, "one"]
+    # infer refuses a configuration over the size limit before it reads
+    # the clip, so such a configuration gets a desk-sized clip instead
+    try:
+        analysis.count_flops(cfg).check_peaks("network input", cfg.precision)
+        geometry = cfg
+    except ConfigError:
+        geometry = desk_preset()
     clip = tmp_path / "clip.ctf"
     rng = np.random.default_rng(len(values))
     ctf.write_tensor(clip, rng.standard_normal(
-        (cfg.frames, 24, 40, cfg.channels)).astype(dtype_of(cfg.precision)))
+        (geometry.frames, 24, 40, geometry.channels)).astype(
+            dtype_of(cfg.precision)))
     detections = tmp_path / "det.jsonl"
     detections.write_text("".join(
         json.dumps({"frame": t, "boxes": [[0, 0, 40, 24]]}) + "\n"
-        for t in range(cfg.frames)))
+        for t in range(geometry.frames)))
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")

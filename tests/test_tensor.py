@@ -98,53 +98,65 @@ class TestMatmul:
         right = tensor.matmul(a, tensor.matmul(b, c))
         assert_close(left, right, rel=1e-8)
 
-
-class TestBmm:
-    def test_matches_per_batch_matmul(self):
+    def test_stacks_match_per_batch_products(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((3, 4, 5))
         b = rng.standard_normal((3, 5, 2))
         want = np.stack([tensor.matmul(a[i], b[i]) for i in range(3)])
-        assert tensor.bmm(a, b).tobytes() == want.tobytes()
+        assert tensor.matmul(a, b).tobytes() == want.tobytes()
 
-    def test_counts_batch_times_matrix_work(self):
+    def test_stack_counts_batch_times_matrix_work(self):
         counter = MacCounter()
         with counting(counter):
-            out = tensor.bmm(np.ones((3, 4, 5)), np.ones((3, 5, 2)))
+            out = tensor.matmul(np.ones((3, 4, 5)), np.ones((3, 5, 2)))
         assert out.shape == (3, 4, 2)
         assert counter.total == 3 * 4 * 5 * 2
 
-    def test_batch_of_one_is_shared(self):
+    def test_stack_batch_of_one_is_shared(self):
         rng = np.random.default_rng(8)
         a = rng.standard_normal((3, 4, 5))
         b = rng.standard_normal((1, 5, 2))
         counter = MacCounter()
         with counting(counter):
-            got = tensor.bmm(a, b)
-            back = tensor.bmm(b.transpose(0, 2, 1), a.transpose(0, 2, 1))
+            got = tensor.matmul(a, b)
+            back = tensor.matmul(b.transpose(0, 2, 1), a.transpose(0, 2, 1))
         want = np.stack([tensor.matmul(a[i], b[0]) for i in range(3)])
         assert got.tobytes() == want.tobytes()
         assert back.shape == (3, 2, 4)
         assert counter.total == 2 * 3 * 4 * 5 * 2
 
     @pytest.mark.parametrize("a_shape, b_shape, message", [
-        ((4, 5), (3, 5, 2), "rank 3"),
-        ((3, 4, 5), (5, 2), "rank 3"),
-        ((3, 4, 5, 1), (3, 5, 2), "rank 3"),
+        ((4, 5), (3, 5, 2), "rank"),
+        ((3, 4, 5), (5, 2), "rank"),
+        ((3, 4, 5, 1), (3, 5, 2), "rank"),
         ((3, 4, 5), (2, 5, 2), "batch"),
         ((3, 4, 5), (3, 6, 2), "inner"),
-    ])
-    def test_shape_errors(self, a_shape, b_shape, message):
+    ], ids=("rank2_by_rank3", "rank3_by_rank2", "rank4", "batch", "inner"))
+    def test_stack_shape_errors(self, a_shape, b_shape, message):
         counter = MacCounter()
         with counting(counter), pytest.raises(ShapeError, match=message):
-            tensor.bmm(np.zeros(a_shape), np.zeros(b_shape))
+            tensor.matmul(np.zeros(a_shape), np.zeros(b_shape))
         assert counter.total == 0
 
-    def test_mixed_precision_rejected(self):
+    def test_stack_mixed_precision_rejected(self):
         a = np.zeros((2, 2, 2), dtype=np.float32)
         b = np.zeros((2, 2, 2), dtype=np.float64)
         with pytest.raises(ShapeError, match="mixed precisions"):
-            tensor.bmm(a, b)
+            tensor.matmul(a, b)
+
+    def test_mixed_ranks_refused_where_numpy_broadcasts(self):
+        # np.matmul broadcasts a 2-d operand against a 3-d stack; the
+        # counted product takes one rank for both, so it counts what it runs
+        rng = np.random.default_rng(9)
+        stack = rng.standard_normal((3, 4, 4))
+        matrix = rng.standard_normal((4, 4))
+        assert (stack @ matrix).shape == (matrix @ stack).shape == (3, 4, 4)
+        counter = MacCounter()
+        with counting(counter):
+            for a, b in ((stack, matrix), (matrix, stack)):
+                with pytest.raises(ShapeError, match="both rank 3"):
+                    tensor.matmul(a, b)
+        assert counter.total == 0
 
 
 class TestElementwise:
@@ -427,6 +439,18 @@ class TestPatchEmbed:
         with counting(counter):
             out = tensor.patch_embed(x, kernel)
         assert counter.total == out.size * 3 * 2 * 2 * 3
+
+    @pytest.mark.parametrize("kt", (1, 3, 5))
+    def test_count_is_window_times_output_for_any_tap_count(self, kt):
+        # the taps' products are all the work, counted where they run
+        rng = np.random.default_rng(25)
+        x = rng.standard_normal((6, 8, 12, 3))
+        kernel = rng.standard_normal((kt, 4, 4, 3, 7))
+        counter = MacCounter()
+        with counting(counter):
+            out = tensor.patch_embed(x, kernel)
+        assert out.shape == (6, 2, 3, 7)
+        assert counter.total == out.size * kt * 4 * 4 * 3
 
 
 class TestDwconv3d:
