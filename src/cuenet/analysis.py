@@ -36,7 +36,7 @@ from .errors import ParamError, VerificationError
 from .fusion import fuse, classify, fuse_grad, classify_grad, FusionParams
 from .instrument import MacCounter, MemoryMeter, counting, metering
 from .model import bind_parameters, network_forward
-from .tensor import dtype_of
+from .tensor import dtype_of, mean_rows
 from .weights import check_size, init_weights
 
 CONVENTION = ("one fused multiply-add = 1 unit; normalization, softmax, "
@@ -213,11 +213,10 @@ def estimate_memory(kind, n, d):
     """Closed-form peak of the mechanism's buffer schedule, in elements.
 
     Inputs and parameters are excluded; the peaks cover the intermediates
-    announced to the memory meter by the kernels over (n, d) tokens, pooled
-    or not, for any head count.  Self-attention normalizes its scores in
-    place, b = :func:`cuenet.attention.score_rows` query rows at a time, so
-    beside q, k, v and the context it holds one (b, n) block of scores:
-    4*n*d + b*n.
+    announced to the memory meter by the kernels over (n, d) tokens, for
+    any head count.  Self-attention normalizes its scores in place, b =
+    :func:`cuenet.attention.score_rows` query rows at a time, so beside q,
+    k, v and the context it holds one (b, n) block of scores: 4*n*d + b*n.
     """
     if n < 1 or d < 1:
         raise ParamError(f"token count and width must be positive, "
@@ -241,7 +240,8 @@ def _instance_elements(kind, n, d):
 
 def _attention_instance(kind, n, d, seed):
     """Seeded float64 inputs, parameters, and a runner closure for one
-    mechanism."""
+    mechanism: the (n, d) context of single-head softmax attention, or the
+    (1, d) mean of an additive kernel's rows."""
     kind_id = ATTENTION_KINDS.index(kind)
     rng = np.random.default_rng([seed, n, d, kind_id])
     spread = 1.0 / np.sqrt(d)
@@ -262,8 +262,8 @@ def _attention_instance(kind, n, d, seed):
         b1=draw((d,)), w2=draw((d, d)), b2=draw((d,)))
     if kind == ATTENTION_MEAA:
         q_normed = draw((1, d))
-        return lambda: attention.meaa(q_normed, x, params)
-    return lambda: attention.eaa_original(x, params)
+        return lambda: mean_rows(attention.meaa(q_normed, x, params))
+    return lambda: mean_rows(attention.eaa_original(x, params))
 
 
 def measured_attention_elements(kind, n, d):
@@ -433,7 +433,8 @@ def _meaa_instance(rng):
     upstream = draw((1, d))
 
     def objective():
-        return float((upstream * attention.meaa(q_normed, x, params)).sum())
+        return float((upstream
+                      * mean_rows(attention.meaa(q_normed, x, params))).sum())
 
     grads = attention.meaa_grad(q_normed, x, params, upstream)
     targets = {"q": (q_normed, grads.q)}
@@ -480,6 +481,7 @@ _GRAD_MODULES = {"meaa": _meaa_instance, "fuse": _fuse_instance,
                  "classify": _classify_instance}
 
 
+@np.errstate(all="ignore")
 def grad_check(modules=("meaa", "fuse", "classify"), eps=1e-5, tol=1e-4,
                instances=20, seed=0):
     """Central-difference check of every analytic gradient group.
@@ -488,7 +490,9 @@ def grad_check(modules=("meaa", "fuse", "classify"), eps=1e-5, tol=1e-4,
     when analytic and numeric gradients agree within ``tol`` (absolute and
     relative) at every element of every instance.  At least one module
     and one instance are required, so a passing report has checked
-    something; ``eps`` and ``tol`` must be finite and positive.
+    something; ``eps`` and ``tol`` must be finite and positive.  Floating
+    point overflow stays silent: at a huge ``eps`` it makes non-finite
+    differences, and those fail their group.
     """
     if not modules:
         raise ParamError("no gradient modules to check")

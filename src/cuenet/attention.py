@@ -19,12 +19,12 @@ own group, :class:`MhsaParams`, :class:`MeaaParams` or
 :class:`AdditiveParams`, so the group's type is the one statement of which
 mechanism runs.  Every kernel and :func:`attend` take (n, d) tokens or a
 (t, n, d) stack of t frames and return rows of the same shape, each frame
-attending only within itself; the additive kernels with ``pool`` take
-(n, d) tokens and return the (1, d) column mean of the rows.  A stack's
-per-token projections run once over all t*n rows and its per-frame
-products, the modified form's token-free query path included, are one
-batched :func:`cuenet.tensor.matmul` over frames: exactly t times the work
-of one frame and the same values as t separate calls.
+attending only within itself; a caller that wants one pooled vector takes
+:func:`cuenet.tensor.mean_rows` of the rows.  A stack's per-token
+projections run once over all t*n rows and its per-frame products, the
+modified form's token-free query path included, are one batched
+:func:`cuenet.tensor.matmul` over frames: exactly t times the work of one
+frame and the same values as t separate calls.
 
 The additive kernels and :func:`softmax_attention` charge each intermediate
 buffer to the active memory meter (see :mod:`cuenet.instrument`) where they
@@ -34,7 +34,7 @@ live until its outputs exist, and a softmax normalizes its scores in place,
 so its weights are the scores buffer.  Self-attention scores b =
 :func:`score_rows` query rows at a time: all n rows up to n = 512, else
 about :data:`SCORE_BLOCK` / n.  The resulting high-water marks on (n, d)
-tokens, pooled or not and for any head count, in elements:
+tokens, for any head count, in elements:
 
 * meaa:               2*n*d + 2*d
 * eaa_original:       3*n*d + n + d
@@ -42,9 +42,9 @@ tokens, pooled or not and for any head count, in elements:
 
 A (t, n, d) stack holds t times as much.  A returned output stays charged
 while the caller holds it: the self-attention context, which :func:`mhsa`
-drops once its projection exists, and the unpooled additive rows.  Nothing
-else a kernel charged outlives the call, so a meter around a pooled call or
-:func:`mhsa` ends with zero live elements.
+drops once its projection exists, and the additive rows.  Nothing else a
+kernel charged outlives the call, so a meter around :func:`mhsa`, or around
+a call whose rows are pooled and dropped, ends with zero live elements.
 
 Each charged buffer is one allocation: bias and residual adds and the
 softmax run in place in it, and no kernel writes its inputs or parameters.
@@ -61,8 +61,8 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .instrument import meter_alloc
-from .tensor import (LnParams, check_tensor, layer_norm, matmul, mean_rows,
-                     mul, scale, softmax_rows)
+from .tensor import (LnParams, check_tensor, layer_norm, matmul, mul, scale,
+                     softmax_rows)
 
 ATTENTION_SELF = "self_attention"
 ATTENTION_MEAA = "meaa"
@@ -135,21 +135,18 @@ def attend(tokens, p):
         return mhsa(tokens, p)
     if isinstance(p, MeaaParams):
         q_normed = layer_norm(p.q, p.q_ln.gamma, p.q_ln.beta)
-        return meaa(q_normed, tokens, p, pool=False)
+        return meaa(q_normed, tokens, p)
     if isinstance(p, AdditiveParams):
-        return eaa_original(tokens, p, pool=False)
+        return eaa_original(tokens, p)
     raise ConfigError(f"no attention mechanism takes parameters of type "
                       f"{type(p).__name__}")
 
 
-def _frame_stack(x, name, pool=False):
-    """Validate (n, d) tokens or, without ``pool``, a (t, n, d) stack;
-    return it as a (t, n, d) stack."""
+def _frame_stack(x, name):
+    """Validate (n, d) tokens or a (t, n, d) stack; return it as a
+    (t, n, d) stack."""
     if check_tensor(x, name=name).ndim not in (2, 3):
         raise ShapeError(f"{name} must have rank 2 or 3, got shape "
-                         f"{x.shape}")
-    if pool and x.ndim == 3:
-        raise ShapeError(f"pooled {name} must be (n, d), got shape "
                          f"{x.shape}")
     if min(x.shape[:-1]) < 1:
         raise ShapeError(f"{name} needs at least one token row, got shape "
@@ -193,30 +190,28 @@ def _hidden_rows(fused, residual, p):
     return hidden
 
 
-def _output_rows(hidden, p, pool):
+def _output_rows(hidden, p):
     """Second projection of the additive kernels' shared tail.
 
-    Returns the (t, n, d) rows of a (t, n, d) ``hidden`` stack, charged
-    while the caller holds them, or with ``pool`` the uncharged (1, d) mean
-    of a one-frame stack's rows.  ``hidden`` goes when the caller's last
-    reference to it does.
+    Returns the rows of a (t, n, d) ``hidden`` stack as one (t*n, d)
+    matrix, charged while the caller holds it.  ``hidden`` goes when the
+    caller's last reference to it does.
     """
     d = hidden.shape[-1]
     rows = matmul(hidden.reshape(-1, d), p.w2)
     rows += p.b2
     meter_alloc(rows)
-    return mean_rows(rows) if pool else rows.reshape(hidden.shape)
+    return rows
 
 
-def meaa(q_normed, tokens, p, pool=True):
-    """Modified additive attention: (1, d) pooled, else input-shaped rows.
+def meaa(q_normed, tokens, p):
+    """Modified additive attention: rows in the input's shape.
 
     The query is gated by the scalar score, broadcast against the projected
-    keys, passed through the two projections with a query residual, and the
-    transformed rows are mean-pooled unless ``pool`` is false.  A (t, n, d)
-    stack runs the query path once per frame.
+    keys and passed through the two projections with a query residual, one
+    row per token.  A (t, n, d) stack runs the query path once per frame.
     """
-    stack = _frame_stack(tokens, "additive attention tokens", pool)
+    stack = _frame_stack(tokens, "additive attention tokens")
     check_tensor(q_normed, rank=2, name="normalized query")
     t, n, d = stack.shape
     if q_normed.shape != (1, d):
@@ -237,8 +232,7 @@ def meaa(q_normed, tokens, p, pool=True):
     del k, q_gated
     hidden = _hidden_rows(fused, q_star, p)
     del fused, q_star
-    out = _output_rows(hidden, p, pool)
-    return out if pool else out.reshape(tokens.shape)
+    return _output_rows(hidden, p).reshape(tokens.shape)
 
 
 @dataclass
@@ -257,13 +251,15 @@ class AdditiveGrads:
 
 
 def meaa_grad(q_normed, tokens, p, upstream):
-    """Analytic gradients of ``meaa`` against an upstream (1, d) cotangent.
+    """Analytic gradients of ``mean_rows(meaa(...))`` on (n, d) tokens
+    against an upstream (1, d) cotangent.
 
     Recomputes the forward intermediates, then walks the chain in reverse.
     The mean pool spreads the cotangent uniformly over rows, so the second
     projection bias receives exactly the upstream vector.
     """
-    x = _frame_stack(tokens, "additive attention tokens", pool=True)[0]
+    check_tensor(tokens, rank=2, name="additive attention tokens")
+    x = _frame_stack(tokens, "additive attention tokens")[0]
     check_tensor(upstream, rank=2, name="upstream cotangent")
     n, d = x.shape
     if upstream.shape != (1, d):
@@ -304,16 +300,15 @@ def meaa_grad(q_normed, tokens, p, upstream):
 # original additive attention (matrix query)
 # ---------------------------------------------------------------------------
 
-def eaa_original(tokens, p, pool=True):
-    """Original additive attention; (1, d) pooled, or (n, d) rows.
+def eaa_original(tokens, p):
+    """Original additive attention: rows in the input's shape.
 
     Every token projects to a query row; softmax-normalized per-row scores
     weight the rows into one global query, which gates the keys.  The two
-    projections carry a per-row query residual before the mean pool, which
-    is skipped unless ``pool`` is true.  A (t, n, d) stack gives (t, n, d)
-    rows, one global query per frame.
+    projections carry a per-row query residual, one row per token.  A
+    (t, n, d) stack runs one global query per frame.
     """
-    stack = _frame_stack(tokens, "additive attention tokens", pool)
+    stack = _frame_stack(tokens, "additive attention tokens")
     t, n, d = stack.shape
     rows = stack.reshape(-1, d)
     q = matmul(rows, p.wq).reshape(t, n, d)
@@ -330,8 +325,7 @@ def eaa_original(tokens, p, pool=True):
     del scores, k, q_global
     hidden = _hidden_rows(fused, q, p)
     del fused, q
-    out = _output_rows(hidden, p, pool)
-    return out if pool else out.reshape(tokens.shape)
+    return _output_rows(hidden, p).reshape(tokens.shape)
 
 
 # ---------------------------------------------------------------------------

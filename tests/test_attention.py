@@ -35,19 +35,19 @@ class TestAttend:
     @pytest.mark.parametrize("pool", (True, False))
     @pytest.mark.parametrize("kind", attention.ATTENTION_KINDS)
     def test_matches_direct_kernel_call(self, kind, pool):
-        # attend's rows, and the mean of them the global block takes, are
+        # attend's rows, and so the mean of them the global block takes, are
         # the direct kernel call's
         x, p = self.instance(kind)
         got = attention.attend(x, p)
-        got = mean_rows(got) if pool else got
         if kind == attention.ATTENTION_SELF:
-            rows = attention.mhsa(x, p)
-            want = mean_rows(rows) if pool else rows
+            want = attention.mhsa(x, p)
         elif kind == attention.ATTENTION_MEAA:
             q_normed = layer_norm(p.q, p.q_ln.gamma, p.q_ln.beta)
-            want = attention.meaa(q_normed, x, p, pool=pool)
+            want = attention.meaa(q_normed, x, p)
         else:
-            want = attention.eaa_original(x, p, pool=pool)
+            want = attention.eaa_original(x, p)
+        if pool:
+            got, want = mean_rows(got), mean_rows(want)
         assert got.shape == ((1, 8) if pool else (5, 8))
         assert got.tobytes() == want.tobytes()
 
@@ -99,10 +99,10 @@ class TestMeaa:
             params = random_additive_params(rng, d, with_q=True)
             q_normed = rng.standard_normal((1, d))
             x = rng.standard_normal((n, d))
-            assert_close(attention.meaa(q_normed, x, params),
-                         meaa_oracle(q_normed, x, params), rel=1e-12)
-            assert_close(attention.meaa(q_normed, x, params, pool=False),
-                         meaa_oracle(q_normed, x, params, pooled=False),
+            rows = attention.meaa(q_normed, x, params)
+            assert_close(mean_rows(rows), meaa_oracle(q_normed, x, params),
+                         rel=1e-12)
+            assert_close(rows, meaa_oracle(q_normed, x, params, pooled=False),
                          rel=1e-12)
 
     def test_hand_value_all_ones_d1(self):
@@ -112,7 +112,7 @@ class TestMeaa:
         params = attention.AdditiveParams(
             wq=ones.copy(), wk=ones.copy(), w_a=np.ones(1), w1=ones.copy(),
             b1=np.ones(1), w2=ones.copy(), b2=np.ones(1))
-        out = attention.meaa(ones, ones, params)
+        out = mean_rows(attention.meaa(ones, ones, params))
         assert out.shape == (1, 1)
         assert out[0, 0] == 4.0
 
@@ -124,8 +124,10 @@ class TestMeaa:
         params = random_additive_params(rng, d, with_q=True)
         params.w_a[:] = 0.0
         q_normed = rng.standard_normal((1, d))
-        out_a = attention.meaa(q_normed, rng.standard_normal((5, d)), params)
-        out_b = attention.meaa(q_normed, rng.standard_normal((9, d)), params)
+        out_a = mean_rows(attention.meaa(q_normed,
+                                         rng.standard_normal((5, d)), params))
+        out_b = mean_rows(attention.meaa(q_normed,
+                                         rng.standard_normal((9, d)), params))
         assert_close(out_a, out_b, rel=1e-15)
         q_star = q_normed @ params.wq
         expected = (params.b1 + q_star) @ params.w2 + params.b2
@@ -137,9 +139,9 @@ class TestMeaa:
         params = random_additive_params(rng, d, with_q=True)
         q_normed = rng.standard_normal((1, d))
         x = rng.standard_normal((n, d))
-        base = attention.meaa(q_normed, x, params)
+        base = mean_rows(attention.meaa(q_normed, x, params))
         perm = rng.permutation(n)
-        shuffled = attention.meaa(q_normed, x[perm], params)
+        shuffled = mean_rows(attention.meaa(q_normed, x[perm], params))
         assert_close(shuffled, base, rel=1e-12)
 
     def test_single_token_mean_equals_row(self):
@@ -148,9 +150,8 @@ class TestMeaa:
         params = random_additive_params(rng, d, with_q=True)
         q_normed = rng.standard_normal((1, d))
         x = rng.standard_normal((1, d))
-        pooled = attention.meaa(q_normed, x, params)
-        rows = attention.meaa(q_normed, x, params, pool=False)
-        assert np.array_equal(pooled, rows)
+        rows = attention.meaa(q_normed, x, params)
+        assert np.array_equal(mean_rows(rows), rows)
 
     def test_gate_scalar_linear_in_score_weights(self):
         rng = np.random.default_rng(104)
@@ -187,8 +188,8 @@ class TestMeaa:
             params = random_additive_params(rng, d, with_q=True)
             counter = MacCounter()
             with counting(counter):
-                attention.meaa(rng.standard_normal((1, d)),
-                               rng.standard_normal((n, d)), params)
+                mean_rows(attention.meaa(rng.standard_normal((1, d)),
+                                         rng.standard_normal((n, d)), params))
             assert counter.total \
                 == 3 * n * d * d + n * d + d * d + 3 * d + 1
 
@@ -201,10 +202,10 @@ class TestEaa:
             d = int(rng.integers(2, 10))
             params = random_additive_params(rng, d, with_q=False)
             x = rng.standard_normal((n, d))
-            assert_close(attention.eaa_original(x, params),
-                         eaa_oracle(x, params), rel=1e-12)
-            assert_close(attention.eaa_original(x, params, pool=False),
-                         eaa_oracle(x, params, pooled=False), rel=1e-12)
+            rows = attention.eaa_original(x, params)
+            assert_close(mean_rows(rows), eaa_oracle(x, params), rel=1e-12)
+            assert_close(rows, eaa_oracle(x, params, pooled=False),
+                         rel=1e-12)
 
     def test_single_token_degenerates_to_scalar_query_shape(self):
         # with one token the softmax weight is exactly 1, so the matrix
@@ -214,7 +215,7 @@ class TestEaa:
         d = 6
         params = random_additive_params(rng, d, with_q=False)
         x = rng.standard_normal((1, d))
-        got = attention.eaa_original(x, params)
+        got = mean_rows(attention.eaa_original(x, params))
         want = eaa_oracle(x, params, force_uniform_weights=True)
         assert_close(got, want, rel=1e-12)
 
@@ -224,7 +225,7 @@ class TestEaa:
         params = random_additive_params(rng, d, with_q=False)
         row = rng.standard_normal((1, d))
         x = np.repeat(row, n, axis=0)
-        got_rows = attention.eaa_original(x, params, pool=False)
+        got_rows = attention.eaa_original(x, params)
         # all rows identical, and equal to the uniform-weight oracle
         for i in range(1, n):
             assert_close(got_rows[i], got_rows[0], rel=1e-14)
@@ -238,7 +239,8 @@ class TestEaa:
             params = random_additive_params(rng, d, with_q=False)
             counter = MacCounter()
             with counting(counter):
-                attention.eaa_original(rng.standard_normal((n, d)), params)
+                mean_rows(attention.eaa_original(rng.standard_normal((n, d)),
+                                                 params))
             assert counter.total == 4 * n * d * d + 3 * n * d + n + d
 
     def test_empty_tokens_rejected(self):
@@ -283,8 +285,8 @@ class TestMeaaGrad:
             grads = attention.meaa_grad(q_normed, x, params, upstream)
 
             def objective():
-                return float((upstream
-                              * attention.meaa(q_normed, x, params)).sum())
+                return float((upstream * mean_rows(
+                    attention.meaa(q_normed, x, params))).sum())
 
             targets = [(q_normed, grads.q), (x, grads.tokens),
                        (params.wq, grads.wq), (params.wk, grads.wk),
@@ -319,6 +321,18 @@ class TestMeaaGrad:
         g_sum = attention.meaa_grad(q_normed, x, params, u1 + u2)
         assert_close(g_sum.wq, g1.wq + g2.wq, rel=1e-12)
         assert_close(g_sum.tokens, g1.tokens + g2.tokens, rel=1e-12)
+
+    @pytest.mark.parametrize("shape, message", (
+        ((2, 3, 4), r"must have rank 2, got shape \(2, 3, 4\)"),
+        ((0, 4), r"needs at least one token row, got shape \(0, 4\)")),
+        ids=("stack", "empty"))
+    def test_takes_only_tokens_a_pool_can_mean(self, shape, message):
+        # the gradient is of the mean of (n, d) rows, n >= 1
+        rng = np.random.default_rng(124)
+        params = random_additive_params(rng, 4, with_q=True)
+        q_normed, upstream = rng.standard_normal((2, 1, 4))
+        with pytest.raises(ShapeError, match=message):
+            attention.meaa_grad(q_normed, np.zeros(shape), params, upstream)
 
 
 class TestMhsa:
@@ -434,23 +448,12 @@ class TestFrameStacks:
         with pytest.raises(ShapeError, match="rank"):
             self.mix(x[None], p)
 
-    def test_pooled_stack_rejected(self):
-        # the additive kernels' pool=True, the only pooled entry points
-        x, p = self.instance(attention.ATTENTION_MEAA)
-        q_normed = np.ones((1, x.shape[-1]))
-        for pooled in (lambda: attention.meaa(q_normed, x, p, pool=True),
-                       lambda: attention.eaa_original(x, p, pool=True)):
-            with pytest.raises(ShapeError, match="^pooled additive attention "
-                               r"tokens must be \(n, d\), got shape "
-                               r"\(3, 17, 8\)$"):
-                pooled()
-
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("pool", (True, False))
-    def test_inputs_left_unchanged(self, kind, pool):
-        # pooled on (n, d) tokens, else on a (t, n, d) stack
+    @pytest.mark.parametrize("flat", (True, False))
+    def test_inputs_left_unchanged(self, kind, flat):
+        # on (n, d) tokens, else on a (t, n, d) stack
         x, p = self.instance(kind)
-        tokens = x[0] if pool else x
+        tokens = x[0] if flat else x
         q_normed = np.random.default_rng(161).standard_normal((1, x.shape[-1]))
         arrays = [tokens, q_normed]
         for field in dataclasses.fields(p):
@@ -461,9 +464,9 @@ class TestFrameStacks:
                 arrays.append(value)
         before = [a.tobytes() for a in arrays]
         if kind == attention.ATTENTION_MEAA:
-            attention.meaa(q_normed, tokens, p, pool)
+            attention.meaa(q_normed, tokens, p)
         elif kind == attention.ATTENTION_EAA:
-            attention.eaa_original(tokens, p, pool)
+            attention.eaa_original(tokens, p)
         else:
             self.mix(tokens, p)
         assert [a.tobytes() for a in arrays] == before
@@ -571,6 +574,10 @@ class TestBufferSchedules:
         rng = np.random.default_rng(143)
         x = rng.standard_normal(shape)
         *frames, n, d = shape
+
+        def finish(rows):
+            return mean_rows(rows) if pool else rows
+
         calls = []
         if kind == attention.ATTENTION_SELF:
             for heads in (1, 2):
@@ -581,18 +588,14 @@ class TestBufferSchedules:
             p = random_additive_params(rng, d, with_q=True)
             p.q_ln = LnParams(gamma=np.ones(d), beta=np.zeros(d))
             q_normed = layer_norm(p.q, p.q_ln.gamma, p.q_ln.beta)
-            calls.append((p, lambda: attention.meaa(q_normed, x, p, pool)))
+            calls.append((p, lambda: finish(attention.meaa(q_normed, x, p))))
         else:
             p = random_additive_params(rng, d, with_q=False)
-            calls.append((p, lambda: attention.eaa_original(x, p, pool)))
+            calls.append((p, lambda: finish(attention.eaa_original(x, p))))
         peak = int(np.prod(frames)) * analysis.estimate_memory(
             kind, n, d).elements
         for p, direct in calls:
-            def through_attend(p=p):
-                rows = attention.attend(x, p)
-                return mean_rows(rows) if pool else rows
-
-            for run in (direct, through_attend):
+            for run in (direct, lambda p=p: finish(attention.attend(x, p))):
                 meter = self.meter_for(run)
                 assert meter.live == 0
                 assert meter.high_water == peak
@@ -614,10 +617,10 @@ class TestBufferSchedules:
         elif kind == attention.ATTENTION_MEAA:
             p = random_additive_params(rng, d, with_q=True)
             q_normed = rng.standard_normal((1, d))
-            run = lambda: attention.meaa(q_normed, x, p)
+            run = lambda: mean_rows(attention.meaa(q_normed, x, p))
         else:
             p = random_additive_params(rng, d, with_q=False)
-            run = lambda: attention.eaa_original(x, p)
+            run = lambda: mean_rows(attention.eaa_original(x, p))
         self.meter_for(run)
         tracemalloc.start()
         try:

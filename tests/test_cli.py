@@ -811,6 +811,17 @@ class TestGradcheckCommand:
         assert "Traceback" not in proc.stderr
         assert "Warning" not in proc.stderr
 
+    @pytest.mark.parametrize("eps", ("1e160", "1e200", "1e300", "1e307"))
+    def test_overflowing_eps_fails_quietly(self, eps):
+        # the differences overflow to non-finite values, which fail their
+        # groups; no floating-point warning reaches stderr
+        proc = run_cli("gradcheck", "--modules", "meaa", "--instances", "1",
+                       "--eps", eps)
+        assert proc.returncode == 4
+        assert ",FAIL" in proc.stdout
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
+
 
 class TestSelftest:
     def test_full_suite_passes(self):

@@ -222,17 +222,40 @@ def assert_clean_exit(code, capsys):
         assert err.startswith("error: ")
 
 
-# the sampled numbers are at most 48, so the configurations they make stay
-# desk-sized and each run takes milliseconds, apart from "9" * 400: that
-# many channels parses, infer refuses it as over its size limit, and the
-# test gives such a configuration a desk-sized clip.  A drawn text of digits
-# could also parse; "9999" channels would pass the limit with a 586 MiB clip
+# every number these values make is at most 48, apart from "9" * 400 and
+# "1e400": infer refuses either as a size (not finite, or over the size
+# limit of the parameters or priced peaks) and takes "9" * 400 as a seed.
+# So a configuration that infer runs does a forward of at most INFER_MACS
+# (0.70 G at frames = height = channels = 48; desk is 7.2 M) on a clip of
+# at most 48 frames of 48 channels.  The drawn text holds no decimal digit
+# of any script, since "9999" channels or rows would pass the size limit
+# with a clip or a forward hundreds of megabytes large, and no surrogate,
+# which a configuration file cannot hold
+INFER_MACS = 10 ** 9
 infer_config_values = st.one_of(
     st.sampled_from(("0", "-1", "1", "2", "3", "4", "6", "8", "16", "32",
                      "48", "0.5", "4.0", "nan", "inf", "1e400", "9" * 400,
                      "meaa", "eaa_original", "self_attention",
                      "meaa,self_attention", "single", "double", "")),
-    st.text(max_size=6))
+    st.text(st.characters(exclude_categories=("Cs", "Nd")), max_size=6))
+
+
+@FUZZ
+@given(st.dictionaries(st.sampled_from(_CONFIG_KEYS), infer_config_values,
+                       max_size=3))
+def test_infer_configurations_stay_within_their_bound(values):
+    # infer runs a configuration only if its parameters and priced peaks
+    # pass the size limit
+    try:
+        cfg = parse_config(_config_text(values))
+        weights.check_size({"parameters": weights.param_count(cfg)},
+                           cfg.precision)
+        report = analysis.count_flops(cfg)
+        report.check_peaks("network input", cfg.precision)
+    except ConfigError:
+        return
+    assert report.total <= INFER_MACS
+    assert cfg.frames <= 48 and cfg.channels <= 48
 
 
 def _flag_each_entry(data, entries):

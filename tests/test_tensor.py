@@ -188,6 +188,12 @@ class TestElementwise:
         with pytest.raises(ShapeError):
             tensor.mean_rows(np.zeros((0, 3)))
 
+    def test_mean_rows_refuses_a_frame_stack(self):
+        # a (t, n, d) stack of attention rows is never pooled across frames
+        with pytest.raises(ShapeError, match=r"^mean_rows operand must have "
+                           r"rank 2, got shape \(3, 17, 8\)$"):
+            tensor.mean_rows(np.zeros((3, 17, 8)))
+
     def test_sigmoid_midpoint_and_symmetry(self):
         x = np.array([0.0, 2.0, -2.0])
         s = tensor.sigmoid(x)
