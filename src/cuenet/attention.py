@@ -31,10 +31,15 @@ buffer to the active memory meter (see :mod:`cuenet.instrument`) where they
 allocate it, and a charge lasts as long as its array, so the kernels' ``del``
 statements and returns are their release schedule.  A step's inputs stay
 live until its outputs exist, and a softmax normalizes its scores in place,
-so its weights are the scores buffer.  Self-attention scores b =
-:func:`score_rows` query rows at a time: all n rows up to n = 512, else
-about :data:`SCORE_BLOCK` / n.  The resulting high-water marks on (n, d)
-tokens, for any head count, in elements:
+so its weights are the scores buffer.  Each additive kernel owns its query
+path and holds it to the end of the call, bar meaa's scalar gate, which
+goes once the gated query exists.  The tail they share owns the keys, the
+gated keys and the ``hidden`` rows, and drops each once the next step
+exists, so both kernels first peak when the gated keys are charged beside
+the keys and the query path.  Self-attention scores b = :func:`score_rows`
+query rows at a time: all n rows up to n = 512, else about
+:data:`SCORE_BLOCK` / n.  The resulting high-water marks on (n, d) tokens,
+for any head count, in elements:
 
 * meaa:               2*n*d + 2*d
 * eaa_original:       3*n*d + n + d
@@ -174,30 +179,26 @@ def attention_scalar(q_star, w_a):
     return scale(raw, 1.0 / math.sqrt(d)).reshape(q_star.shape[:-1] + (1,))
 
 
-def _hidden_rows(fused, residual, p):
-    """First projection of the additive kernels' shared tail.
+def _gated_rows(stack, q_global, residual, p):
+    """The additive kernels' shared tail: gate the keys, then project twice.
 
-    ``fused`` is a (t, n, d) stack.  ``residual``, the query, broadcasts
-    against it and is added after the projection.  Charges and returns the
-    ``hidden`` rows; the caller releases ``fused`` and the query by dropping
-    its references to them before :func:`_output_rows` allocates.
+    ``stack`` is the (t, n, d) token stack; ``q_global``, the global query,
+    and ``residual``, the query added after the first projection, broadcast
+    against it.  Charges and drops the keys ``k``, the gated keys ``fused``
+    and the ``hidden`` rows, and returns the rows as one (t*n, d) matrix,
+    charged while the caller holds it.
     """
-    d = fused.shape[-1]
-    hidden = matmul(fused.reshape(-1, d), p.w1).reshape(fused.shape)
+    t, n, d = stack.shape
+    k = matmul(stack.reshape(-1, d), p.wk)
+    meter_alloc(k)
+    fused = mul(k.reshape(t, n, d), q_global)
+    meter_alloc(fused)
+    del k
+    hidden = matmul(fused.reshape(-1, d), p.w1).reshape(t, n, d)
     hidden += p.b1
     hidden += residual
     meter_alloc(hidden)
-    return hidden
-
-
-def _output_rows(hidden, p):
-    """Second projection of the additive kernels' shared tail.
-
-    Returns the rows of a (t, n, d) ``hidden`` stack as one (t*n, d)
-    matrix, charged while the caller holds it.  ``hidden`` goes when the
-    caller's last reference to it does.
-    """
-    d = hidden.shape[-1]
+    del fused
     rows = matmul(hidden.reshape(-1, d), p.w2)
     rows += p.b2
     meter_alloc(rows)
@@ -207,32 +208,26 @@ def _output_rows(hidden, p):
 def meaa(q_normed, tokens, p):
     """Modified additive attention: rows in the input's shape.
 
-    The query is gated by the scalar score, broadcast against the projected
-    keys and passed through the two projections with a query residual, one
-    row per token.  A (t, n, d) stack runs the query path once per frame.
+    The learnable query is projected and gated by its scalar score; that
+    gated query scales the projected keys, and the two projections of
+    :func:`_gated_rows` add the projected query back, one row per token.
+    A (t, n, d) stack runs the query path once per frame.
     """
     stack = _frame_stack(tokens, "additive attention tokens")
     check_tensor(q_normed, rank=2, name="normalized query")
-    t, n, d = stack.shape
+    t, _, d = stack.shape
     if q_normed.shape != (1, d):
         raise ShapeError(f"query shape {q_normed.shape} vs tokens "
                          f"{tokens.shape}; expected (1, {d})")
     # the query path needs no tokens, yet runs per frame as count_flops prices
     q_star = matmul(np.broadcast_to(q_normed, (t, 1, d)), p.wq[None])
     meter_alloc(q_star)
-    k = matmul(stack.reshape(-1, d), p.wk)
-    meter_alloc(k)
     alpha = attention_scalar(q_star, p.w_a)
     meter_alloc(alpha)
     q_gated = mul(q_star, alpha)
     meter_alloc(q_gated)
     del alpha
-    fused = mul(k.reshape(t, n, d), q_gated)
-    meter_alloc(fused)
-    del k, q_gated
-    hidden = _hidden_rows(fused, q_star, p)
-    del fused, q_star
-    return _output_rows(hidden, p).reshape(tokens.shape)
+    return _gated_rows(stack, q_gated, q_star, p).reshape(tokens.shape)
 
 
 @dataclass
@@ -304,28 +299,21 @@ def eaa_original(tokens, p):
     """Original additive attention: rows in the input's shape.
 
     Every token projects to a query row; softmax-normalized per-row scores
-    weight the rows into one global query, which gates the keys.  The two
-    projections carry a per-row query residual, one row per token.  A
-    (t, n, d) stack runs one global query per frame.
+    weight the rows into one global query, which :func:`_gated_rows` uses
+    to gate the keys before its two projections add the per-row query
+    back, one row per token.  A (t, n, d) stack runs one global query per
+    frame.
     """
     stack = _frame_stack(tokens, "additive attention tokens")
     t, n, d = stack.shape
-    rows = stack.reshape(-1, d)
-    q = matmul(rows, p.wq).reshape(t, n, d)
+    q = matmul(stack.reshape(-1, d), p.wq).reshape(t, n, d)
     meter_alloc(q)
-    k = matmul(rows, p.wk)
-    meter_alloc(k)
     # the softmax weights overwrite the scores
     scores = softmax_rows(attention_scalar(q, p.w_a).reshape(t, n))
     meter_alloc(scores)
     q_global = matmul(scores.reshape(t, 1, n), q)
-    fused = mul(k.reshape(t, n, d), q_global)
     meter_alloc(q_global)
-    meter_alloc(fused)
-    del scores, k, q_global
-    hidden = _hidden_rows(fused, q, p)
-    del fused, q
-    return _output_rows(hidden, p).reshape(tokens.shape)
+    return _gated_rows(stack, q_global, q, p).reshape(tokens.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ do not depend on machine core count.  Every kernel runs sequentially;
 import argparse
 import json
 import os
+import stat
 import sys
 import tempfile
 
@@ -56,11 +57,20 @@ def _pin_backend_threads():
 def _write_atomic(path, data):
     if isinstance(data, str):
         data = data.encode("utf-8")
+    # mkstemp makes the file owner-only; give it the mode open would: the
+    # mode of the file it replaces, else 0o666 less the umask
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
                                suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), mode)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

@@ -139,7 +139,7 @@ def serialize_config(cfg):
 def _parse_value(key, kind, text):
     """One value's text as the field type ``kind`` asks for."""
     if kind is tuple:
-        return tuple(k for k in text.split(",") if k)
+        return tuple(k.strip() for k in text.split(",") if k.strip())
     if kind is str:
         return text
     try:

@@ -551,6 +551,45 @@ class TestBufferSchedules:
                     rng.standard_normal((n, d)), wq, wk, wv, 1))
             assert meter.high_water == 4 * n * d + n * n
 
+    def test_additive_step_schedules(self):
+        # live elements after each charge on a (t, n, d) stack, per frame:
+        # the kernel's query path, then the tail's keys, gated keys, hidden
+        # rows and output rows; both kernels first peak at the gated keys
+        class StepMeter(MemoryMeter):
+            def __init__(self):
+                super().__init__()
+                self.steps = []
+
+            def alloc(self, array):
+                super().alloc(array)
+                self.steps.append(self.live)
+
+        t, n, d = 3, 5, 4
+        nd = n * d
+        rng = np.random.default_rng(146)
+        x = rng.standard_normal((t, n, d))
+        q_normed = rng.standard_normal((1, d))
+        pm = random_additive_params(rng, d, with_q=True)
+        pe = random_additive_params(rng, d, with_q=False)
+        schedules = (
+            (attention.ATTENTION_MEAA, lambda: attention.meaa(q_normed, x, pm),
+             [d, d + 1, 2 * d + 1, nd + 2 * d, 2 * nd + 2 * d,
+              2 * nd + 2 * d, 2 * nd + 2 * d]),
+            (attention.ATTENTION_EAA, lambda: attention.eaa_original(x, pe),
+             [nd, nd + n, nd + n + d, 2 * nd + n + d, 3 * nd + n + d,
+              3 * nd + n + d, 3 * nd + n + d]))
+        for kind, run, per_frame in schedules:
+            meter = StepMeter()
+            with metering(meter):
+                rows = run()
+            assert meter.steps == [t * live for live in per_frame]
+            peak = t * analysis.estimate_memory(kind, n, d).elements
+            assert meter.steps.index(peak) == 4
+            assert meter.high_water == peak
+            assert meter.live == t * nd
+            del rows
+            assert meter.live == 0
+
     @pytest.mark.parametrize("shape, heads, peak", (
         ((3, 5, 8), 4, 555), ((1, 400, 64), 4, 262_400)))
     def test_multi_head_stack_peak(self, shape, heads, peak):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -12,10 +13,10 @@ from cuenet import analysis, cli, ctf, model, weights
 from cuenet.config import desk_preset, serialize_config
 
 
-def run_cli(*argv, cwd=None):
+def run_cli(*argv, cwd=None, umask=-1):
     return subprocess.run([sys.executable, "-m", "cuenet", *argv],
                           capture_output=True, text=True, cwd=cwd,
-                          env=dict(os.environ))
+                          env=dict(os.environ), umask=umask)
 
 
 @pytest.fixture(scope="module")
@@ -839,3 +840,31 @@ class TestParser:
     def test_unknown_flag_is_usage_error(self):
         proc = run_cli("flops", "--wat")
         assert proc.returncode == 2
+
+
+def test_written_files_take_the_mode_open_gives(workdir, tmp_path):
+    # every new path the CLI writes gets 0o666 & ~umask, and a file it
+    # replaces keeps its mode, as open would give them
+    out = tmp_path / "out"
+    runs = (
+        ("crop", "--video", str(workdir / "clip.ctf"), "--detections",
+         str(workdir / "det.jsonl"), "--out", f"{out}.ctf"),
+        ("init-weights", "--out", f"{out}.cwc"),
+        ("infer", "--video", str(workdir / "clip.ctf"), "--detections",
+         str(workdir / "det.jsonl"), "--weights", str(workdir / "desk.cwc"),
+         "--out", f"{out}.json"),
+        ("flops", "--verify", "off", "--out", f"{out}.txt"),
+        ("bench", "--attention", "meaa", "--sizes", "8", "--reps", "5",
+         "--d", "8", "--out", f"{out}.csv"),
+        ("gradcheck", "--instances", "1", "--out", f"{out}.grad"))
+    for argv in runs:
+        proc = run_cli(*argv, umask=0o022)
+        assert proc.returncode == 0, proc.stderr
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == ["out.csv", "out.ctf", "out.ctf.json", "out.cwc",
+                       "out.grad", "out.json", "out.txt"]
+    for path in tmp_path.iterdir():
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name
+    (tmp_path / "out.txt").chmod(0o600)
+    assert run_cli(*runs[3], umask=0o022).returncode == 0
+    assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == 0o600

@@ -452,9 +452,14 @@ class TestConfigText:
             assert serialize_config(parse_config(text)) == text
 
     def test_parse_tolerates_comments_and_whitespace(self):
-        text = serialize_config(desk_preset())
-        noisy = "# leading comment\n\n" + text.replace(
-            "hidden=64", "  hidden = 64  ") + "\n# trailing\n"
+        noisy = serialize_config(desk_preset())
+        for canonical, spaced in (
+                ("hidden=64", "  hidden = 64  "),
+                ("local_attention=self_attention,self_attention",
+                 "local_attention=self_attention, self_attention")):
+            assert canonical in noisy
+            noisy = noisy.replace(canonical, spaced)
+        noisy = "# leading comment\n\n" + noisy + "\n# trailing\n"
         assert parse_config(noisy) == desk_preset()
 
     def test_unknown_key(self):
