@@ -17,9 +17,7 @@ do not depend on machine core count.  Every kernel runs sequentially;
 import argparse
 import json
 import os
-import stat
 import sys
-import tempfile
 
 from .errors import (BoundsError, ConfigError, FormatError, ParamError,
                      ShapeError, VerificationError)
@@ -54,34 +52,10 @@ def _pin_backend_threads():
         os.environ.setdefault(var, "1")
 
 
-def _write_atomic(path, data):
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    # mkstemp makes the file owner-only; give it the mode open would: the
-    # mode of the file it replaces, else 0o666 less the umask
-    try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
-                               suffix=os.path.basename(path))
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            os.fchmod(fh.fileno(), mode)
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _emit(args, text):
     if args.out:
-        _write_atomic(args.out, text)
+        from . import ctf
+        ctf.write_file(args.out, text.encode("utf-8"))
     else:
         sys.stdout.write(text)
 
@@ -124,7 +98,8 @@ def _crop_summary(decision, in_shape, out_shape):
 
 
 def _read_clip(args):
-    """The ``--video`` clip and its ``--detections`` stream, checked to agree.
+    """The ``--video`` clip and its ``--detections`` stream, parsed against
+    the clip's frame size; ``crop.crop_clip`` checks that they agree.
 
     A clip holding NaN or +-inf is refused here, so ``model.forward`` pays
     no finiteness check."""
@@ -142,9 +117,6 @@ def _read_clip(args):
     sequence = crop.parse_detections(_read_text(args.detections),
                                      height=video.shape[1],
                                      width=video.shape[2])
-    if sequence.frame_count != video.shape[0]:
-        raise FormatError(f"detection stream covers {sequence.frame_count} "
-                          f"frames, clip has {video.shape[0]}")
     return video, sequence
 
 
@@ -154,14 +126,17 @@ def _read_clip(args):
 
 def cmd_crop(args):
     from . import crop, ctf
-    video, sequence = _read_clip(args)
-    decision = crop.compute_crop_box(sequence)
-    cropped = crop.apply_crop(video, decision)
-    _write_atomic(args.out, ctf.tensor_bytes(cropped))
-    summary = _crop_summary(decision, video.shape, cropped.shape)
-    text = json.dumps(summary, indent=2) + "\n"
     summary_path = args.summary or args.out + ".json"
-    _write_atomic(summary_path, text)
+    paths = (args.out, args.video, args.detections)
+    if os.path.realpath(summary_path) in map(os.path.realpath, paths):
+        raise FormatError(f"summary path {summary_path} is also the --out, "
+                          f"--video or --detections path")
+    video, sequence = _read_clip(args)
+    decision, cropped = crop.crop_clip(video, sequence)
+    ctf.write_tensor(args.out, cropped)
+    text = json.dumps(_crop_summary(decision, video.shape, cropped.shape),
+                      indent=2) + "\n"
+    ctf.write_file(summary_path, text.encode("utf-8"))
     sys.stdout.write(text)
     return 0
 
@@ -178,10 +153,9 @@ def cmd_infer(args):
         raise ConfigError(f"infer labels two classes, not {cfg.num_classes}")
     analysis.count_flops(cfg).check_peaks("network input", cfg.precision)
     video, sequence = _read_clip(args)
+    decision, cropped = crop.crop_clip(video, sequence)
     container = load_weights(args.weights, precision=cfg.precision,
                              allow_widen=args.precision is not None)
-    decision = crop.compute_crop_box(sequence)
-    cropped = crop.apply_crop(video, decision)
     # overflow anywhere in the network fails the run; underflow stays silent
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -201,10 +175,10 @@ def cmd_infer(args):
 
 
 def cmd_init_weights(args):
-    from .weights import container_bytes, init_weights, param_count
+    from .weights import init_weights, param_count, save_weights
     cfg = _load_config(args)
     container = init_weights(cfg)
-    _write_atomic(args.out, container_bytes(container))
+    save_weights(container, args.out)
     info = {"entries": len(container.entries),
             "parameters": param_count(cfg), "precision": cfg.precision,
             "seed": cfg.seed}

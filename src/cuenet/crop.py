@@ -14,6 +14,10 @@ detector gave them and may poke outside the frame; the policy clamps their
 union to the frame once.  Pixel extraction rounds the union box outward
 (floor the minima, ceil the maxima), so the crop never loses detected
 content to rounding.
+
+:func:`crop_clip` is the crop step every caller runs: it refuses a stream
+that does not describe the clip, then applies the policy and cuts the
+region.
 """
 
 import json
@@ -223,3 +227,22 @@ def apply_crop(video, decision):
                           f"({height}, {width})")
     y0, y1, x0, x1 = pixel_bounds(box, height, width)
     return video[:, y0:y1, x0:x1, :]
+
+
+def crop_clip(video, detections):
+    """The crop step for a (T,H,W,C) clip; returns ``(decision, region)``.
+
+    ``detections`` must describe the clip: as many frames, and parsed
+    against the clip's frame size, else ``FormatError``.  The decision is
+    :func:`compute_crop_box`'s and the region :func:`apply_crop`'s.
+    """
+    frames, height, width, _ = check_tensor(video, rank=4, name="video").shape
+    if detections.frame_count != frames:
+        raise FormatError(f"detection stream covers {detections.frame_count}"
+                          f" frames, clip has {frames}")
+    if (detections.height, detections.width) != (height, width):
+        raise FormatError(f"detection stream describes {detections.height}x"
+                          f"{detections.width} frames, clip has "
+                          f"{height}x{width}")
+    decision = compute_crop_box(detections)
+    return decision, apply_crop(video, decision)

@@ -16,8 +16,15 @@ little-endian host the result is a read-only view of the caller's buffer,
 which may sit at any byte offset (a clip's payload starts 22 bytes into its
 blob).  A big-endian host gets a native-order copy, read-only as well.
 :func:`read_tensor` returns a writable array of its own.
+
+:func:`write_file` is the package's one way to write a file, tensor files,
+weight containers and every command-line output alike: the bytes go to a
+new file beside the target, which then replaces it, so a failed write
+leaves the old file as it was.
 """
 
+import os
+import stat
 import struct
 
 import numpy as np
@@ -83,11 +90,34 @@ def tensor_from_bytes(buffer, offset=0):
     return array, pos + nbytes
 
 
+def write_file(path, data):
+    """Replace ``path`` with the bytes ``data``.
+
+    The bytes go to a new ``.tmp-`` file in the same directory (a fixed
+    length name, so a long ``path`` still fits), which is then renamed
+    over ``path``: readers see the old file or the new one, never a part.
+    On any failure the temporary file is removed and ``path`` is left as
+    it was.  A new file gets the mode ``open`` gives
+    (0o666 less the umask, applied as the file is created); a file that is
+    replaced keeps its mode.  A symlink at ``path`` is replaced, not
+    written through.
+    """
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            if os.path.exists(path):
+                os.fchmod(fh.fileno(), stat.S_IMODE(os.stat(path).st_mode))
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_tensor(path, array):
-    """Write one tensor to ``path``."""
-    data = tensor_bytes(array)
-    with open(path, "wb") as fh:
-        fh.write(data)
+    """Write one tensor to ``path`` through :func:`write_file`."""
+    write_file(path, tensor_bytes(array))
 
 
 def read_tensor(path):

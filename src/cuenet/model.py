@@ -22,7 +22,7 @@ import numpy as np
 
 from . import fusion as fusion_ops
 from .blocks import local_uniblock_forward
-from .crop import apply_crop, compute_crop_box
+from .crop import crop_clip
 from .errors import ConfigError, ShapeError
 from .global_block import global_uniblock_forward
 from .instrument import record_shape, stage, tracing
@@ -139,12 +139,15 @@ def network_forward(video, params, cfg):
 def forward(video, detections, container, cfg, trace=None):
     """Full inference: crop, resize, tokenize, mix, fuse, classify.
 
-    ``detections`` may be None to skip the crop policy entirely.  The clip's
-    frame count, channel count, and precision must match the configuration;
-    spatial extents are free because the resampler normalizes them.  The
-    clip may be any view (read-only, strided, misaligned, as decoding and
-    cropping hand it over) and is never written.  ``trace`` is the shape
-    sink for the call (None records nothing).
+    ``detections`` may be None to skip the crop step entirely; otherwise
+    :func:`cuenet.crop.crop_clip` crops with it and raises ``FormatError``
+    for a stream that does not describe the clip (another frame count or
+    frame size).  The clip's frame count, channel count, and precision must
+    match the configuration; spatial extents are free because the resampler
+    normalizes them.  The clip may be any view (read-only, strided,
+    misaligned, as decoding and cropping hand it over) and is never
+    written.  ``trace`` is the shape sink for the call (None records
+    nothing).
     """
     check_tensor(video, rank=4, name="video")
     params = bind_parameters(container, cfg)
@@ -160,7 +163,7 @@ def forward(video, detections, container, cfg, trace=None):
     with tracing(trace):
         record_shape("input", video)
         if detections is not None:
-            video = apply_crop(video, compute_crop_box(detections))
+            _, video = crop_clip(video, detections)
         record_shape("cropped", video)
         video = resize_bilinear(video, cfg.height, cfg.width)
         record_shape("resized", video)

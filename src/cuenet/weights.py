@@ -283,10 +283,8 @@ def container_bytes(container):
 
 
 def save_weights(container, path):
-    """Write a container to ``path``."""
-    data = container_bytes(container)
-    with open(path, "wb") as fh:
-        fh.write(data)
+    """Write a container to ``path`` through :func:`ctf.write_file`."""
+    ctf.write_file(path, container_bytes(container))
 
 
 def load_weights(path, precision=None, allow_widen=False):

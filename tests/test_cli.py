@@ -134,6 +134,36 @@ class TestCrop:
         assert proc.returncode == 0
         assert json.loads(summary.read_text())["applied"] is True
 
+    def test_summary_may_not_replace_the_clip_or_an_input(self, workdir,
+                                                          tmp_path):
+        video, det = tmp_path / "v.ctf", tmp_path / "d.jsonl"
+        video.write_bytes((workdir / "clip.ctf").read_bytes())
+        det.write_bytes((workdir / "det.jsonl").read_bytes())
+        inputs = {path: path.read_bytes() for path in (video, det)}
+        out = tmp_path / "c.ctf"
+        for summary in (out, video, det):
+            proc = run_cli("crop", "--video", str(video), "--detections",
+                           str(det), "--out", str(out), "--summary",
+                           str(summary))
+            assert proc.returncode == 2, summary.name
+            assert proc.stderr.startswith("error: summary path ")
+            assert proc.stderr.count("\n") == 1
+        # the default summary path, <out>.json, may not be an input either
+        renamed = tmp_path / "c.ctf.json"
+        det.rename(renamed)
+        proc = run_cli("crop", "--video", str(video), "--detections",
+                       str(renamed), "--out", str(out))
+        assert proc.returncode == 2
+        renamed.rename(det)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl",
+                                                              "v.ctf"]
+        assert {path: path.read_bytes() for path in inputs} == inputs
+        # cropping a clip in place stays allowed: the write is atomic
+        proc = run_cli("crop", "--video", str(video), "--detections",
+                       str(det), "--out", str(video))
+        assert proc.returncode == 0, proc.stderr
+        assert ctf.read_tensor(video).shape == (8, 54, 48, 3)
+
     def test_frame_count_mismatch(self, workdir, tmp_path):
         short = "\n".join(json.dumps({"frame": t, "boxes": []})
                           for t in range(4))

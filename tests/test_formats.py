@@ -1,6 +1,10 @@
 """On-disk formats: tensor files, weight containers, flat config text."""
 
+import builtins
 import dataclasses
+import errno
+import os
+import stat
 import struct
 import sys
 
@@ -274,6 +278,81 @@ class TestWeightContainer:
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="UTF-8"):
             weights.load_weights(path)
+
+
+# the two library writers, each with two distinct payloads
+WRITERS = {
+    "save_weights": lambda path, seed: weights.save_weights(
+        weights.init_weights(tiny_config(seed=seed)), path),
+    "write_tensor": lambda path, seed: ctf.write_tensor(
+        path, np.random.default_rng(seed).standard_normal((2, 3, 4))),
+}
+
+
+class FullDisk:
+    """A file opened for writing whose every write fails with ENOSPC."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def fileno(self):
+        return self.fh.fileno()
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch,
+                                              writer):
+        write = WRITERS[writer]
+        # a name near the 255-byte limit: the temporary name may not grow it
+        path = tmp_path / ("t" * 250)
+        umask = os.umask(0o022)
+        try:
+            write(path, 1)
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
+        path.chmod(0o640)
+        old = path.read_bytes()
+        real_open = builtins.open
+
+        def full_disk_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return FullDisk(fh) if set(mode) & set("wxa+") else fh
+
+        monkeypatch.setattr(builtins, "open", full_disk_open)
+        with pytest.raises(OSError) as raised:
+            write(path, 2)
+        monkeypatch.undo()
+        assert raised.value.errno == errno.ENOSPC
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        write(path, 2)
+        assert path.read_bytes() != old
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_symlink_is_replaced_not_written_through(self, tmp_path, writer):
+        write = WRITERS[writer]
+        target = tmp_path / "target"
+        write(target, 1)
+        old = target.read_bytes()
+        link = tmp_path / "link"
+        link.symlink_to(target)
+        write(link, 2)
+        assert not link.is_symlink()
+        assert target.read_bytes() == old
+        assert link.read_bytes() != old
 
 
 class TestWeightNaming:

@@ -17,7 +17,7 @@ from cuenet.attention import (ATTENTION_EAA, ATTENTION_KINDS, ATTENTION_MEAA,
 from cuenet.blocks import local_uniblock_forward
 from cuenet.config import desk_preset
 from cuenet.crop import parse_detections
-from cuenet.errors import BoundsError, ConfigError, ShapeError
+from cuenet.errors import ConfigError, FormatError, ShapeError
 from cuenet.global_block import global_uniblock_forward
 from cuenet.instrument import (UNATTRIBUTED, MacCounter, MemoryMeter,
                                counting, metering, record_shape, tracing)
@@ -390,15 +390,37 @@ class TestForward:
             video = video.astype(np.float32)
             error = ConfigError
         else:
-            # boxes parsed against a larger frame overrun the clip
+            # boxes parsed against a larger frame describe another clip
             detections = parse_detections(
                 "\n".join('{"frame": %d, "boxes": [[1, 1, 9, 9], '
                           '[20, 20, 60, 60]]}' % t for t in range(cfg.frames)),
                 height=64, width=64)
-            error = BoundsError
+            error = FormatError
         trace = {}
         with pytest.raises(error):
             model.forward(video, detections, container, cfg, trace=trace)
+        before = dict(trace)
+        record_shape("after", video)
+        assert trace == before
+
+    @pytest.mark.parametrize("frames, height, width, message", (
+        (3, 96, 128, "detection stream covers 3 frames, clip has 8"),
+        (8, 50, 50, "detection stream describes 50x50 frames, clip has "
+                    "96x128")), ids=("frame count", "frame size"))
+    def test_stream_for_another_clip_is_refused(self, frames, height, width,
+                                                message):
+        rng = np.random.default_rng(36)
+        cfg = small_config(frames=8)
+        container = weights.init_weights(cfg)
+        video = random_clip(rng, cfg, height=96, width=128)
+        detections = parse_detections(
+            "\n".join('{"frame": %d, "boxes": [[1, 1, 9, 9], '
+                      '[20, 20, 40, 40]]}' % t for t in range(frames)),
+            height=height, width=width)
+        trace = {}
+        with pytest.raises(FormatError) as raised:
+            model.forward(video, detections, container, cfg, trace=trace)
+        assert str(raised.value) == message
         before = dict(trace)
         record_shape("after", video)
         assert trace == before
